@@ -1,6 +1,9 @@
 //! Golden checks over the JSON files shipped in `scenarios/`: every file
 //! must parse into its spec type and survive one simulated second, and
 //! campaign execution must be bit-identical regardless of worker count.
+//! The sampled telemetry of every single scenario is pinned byte-for-byte
+//! in `tests/goldens/<name>.telemetry.csv`; regenerate with
+//! `MPT_UPDATE_GOLDENS=1 cargo test -p mpt-core --test golden_scenarios`.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -8,10 +11,11 @@ use std::sync::Arc;
 use mpt_core::campaign::{run_cells, run_cells_observed};
 use mpt_core::report::SessionReport;
 use mpt_core::scenario::{
-    run_scenario, run_scenario_analyzed, CampaignSpec, EngineSpec, PlatformSpec, ScenarioSpec,
-    SolverSpec,
+    build_scenario, run_scenario, run_scenario_analyzed, CampaignSpec, EngineSpec, PlatformSpec,
+    ScenarioSpec, SolverSpec,
 };
 use mpt_obs::{Counter, Recorder};
+use mpt_units::Seconds;
 
 /// The repo-level `scenarios/` directory, relative to this crate.
 fn scenarios_dir() -> PathBuf {
@@ -30,6 +34,45 @@ fn scenario_files() -> Vec<PathBuf> {
 
 fn is_campaign(path: &std::path::Path) -> bool {
     path.to_string_lossy().ends_with(".campaign.json")
+}
+
+fn goldens_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens")
+}
+
+/// The sampled telemetry stream — every temperature trace, the
+/// max-over-sensors trace and every rail power the paper's figures plot —
+/// of each shipped single scenario, truncated to ten simulated seconds,
+/// matches its golden CSV byte-for-byte.
+#[test]
+fn shipped_scenario_telemetry_matches_golden_csv() {
+    let update = std::env::var_os("MPT_UPDATE_GOLDENS").is_some();
+    for path in scenario_files().iter().filter(|p| !is_campaign(p)) {
+        let json = std::fs::read_to_string(path).expect("readable file");
+        let mut spec: ScenarioSpec = serde_json::from_str(&json).expect("parses");
+        spec.duration_s = 10.0;
+        let (mut sim, _) = build_scenario(&spec).expect("builds");
+        sim.run_for(Seconds::new(spec.duration_s)).expect("runs");
+        let csv = sim.telemetry().frame().to_csv();
+        let stem = path.file_stem().unwrap().to_string_lossy();
+        let golden_path = goldens_dir().join(format!("{stem}.telemetry.csv"));
+        if update {
+            std::fs::write(&golden_path, &csv).expect("golden written");
+            continue;
+        }
+        let golden = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
+            panic!(
+                "{}: {e} — run with MPT_UPDATE_GOLDENS=1 to (re)generate",
+                golden_path.display()
+            )
+        });
+        assert_eq!(
+            csv,
+            golden,
+            "{stem}: telemetry drifted from {}",
+            golden_path.display()
+        );
+    }
 }
 
 #[test]
