@@ -30,6 +30,10 @@
 
 use std::collections::BTreeMap;
 
+use mpt_units::Seconds;
+
+use crate::TimeSeries;
+
 /// The type of one channel column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
@@ -284,6 +288,22 @@ impl ColumnFrame {
             ColumnData::F64(v) => Some(v),
             _ => None,
         }
+    }
+
+    /// The named `f64` column as a [`TimeSeries`] named after the
+    /// channel, skipping `NaN` ("no sample") rows — so a channel that
+    /// appeared mid-run yields only its real samples. `None` if the
+    /// column is absent or not `f64`.
+    #[must_use]
+    pub fn series(&self, name: &str) -> Option<TimeSeries> {
+        let values = self.f64_column(name)?;
+        let mut series = TimeSeries::new(name);
+        for (&t, &v) in self.times().iter().zip(values) {
+            if !v.is_nan() {
+                series.push(Seconds::new(t), v);
+            }
+        }
+        Some(series)
     }
 
     /// The named `u32` column's values, or `None` if absent or not `u32`.
@@ -713,6 +733,18 @@ mod tests {
         for c in f.columns() {
             assert_eq!(c.data().len(), 4, "{}", c.name());
         }
+    }
+
+    #[test]
+    fn series_skips_no_sample_rows() {
+        let f = sample_frame();
+        let late = f.series("temp_late_c").unwrap();
+        assert_eq!(late.name(), "temp_late_c");
+        assert_eq!(late.times(), &[1.0, 1.5]);
+        assert_eq!(late.values(), &[55.0, 55.0]);
+        assert_eq!(f.series("temp_big_c").unwrap().len(), 4);
+        assert!(f.series("temp_gpu_c").is_none());
+        assert!(f.series("events").is_none(), "u32 columns are not series");
     }
 
     #[test]

@@ -162,16 +162,7 @@ impl SimCore {
     }
 
     pub(crate) fn control_temperature(&self) -> Celsius {
-        let temps = self.sensor_temps();
-        if let Some(sensor) = &self.control_sensor {
-            if let Some((_, c)) = temps.iter().find(|(n, _)| n == sensor) {
-                return *c;
-            }
-        }
-        temps
-            .iter()
-            .map(|(_, c)| *c)
-            .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max)
+        self.control_temperature_from(|node| self.network.celsius_of(node).ok())
     }
 
     /// Evaluates the control temperature `dt` ahead of the current state
@@ -183,27 +174,27 @@ impl SimCore {
         node_powers: &[Watts],
     ) -> Result<Celsius> {
         let temps = self.network.peek(dt, node_powers)?;
-        let temp_of = |node: &str| -> Option<Celsius> {
+        Ok(self.control_temperature_from(|node| {
             self.network.node_index(node).map(|i| temps[i].to_celsius())
-        };
-        if let Some(sensor_name) = &self.control_sensor {
-            if let Some(sensor) = self
-                .platform
-                .temperature_sensors()
+        }))
+    }
+
+    /// The control-temperature policy over per-node readings `temp_of`:
+    /// the named control sensor if it reads, else the hottest sensor.
+    fn control_temperature_from(&self, temp_of: impl Fn(&str) -> Option<Celsius>) -> Celsius {
+        let sensors = self.platform.temperature_sensors();
+        let control = self.control_sensor.as_deref().and_then(|name| {
+            sensors
                 .iter()
-                .find(|s| s.name() == sensor_name.as_str())
-            {
-                if let Some(c) = temp_of(sensor.thermal_node()) {
-                    return Ok(c);
-                }
-            }
-        }
-        Ok(self
-            .platform
-            .temperature_sensors()
-            .iter()
-            .filter_map(|s| temp_of(s.thermal_node()))
-            .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max))
+                .find(|s| s.name() == name)
+                .and_then(|s| temp_of(s.thermal_node()))
+        });
+        control.unwrap_or_else(|| {
+            sensors
+                .iter()
+                .filter_map(|s| temp_of(s.thermal_node()))
+                .fold(Celsius::new(f64::NEG_INFINITY), Celsius::max)
+        })
     }
 
     /// Hash of the control state the macro-stepper must not jump across

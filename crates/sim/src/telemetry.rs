@@ -10,26 +10,34 @@ use mpt_units::{Celsius, Hertz, Seconds, Watts};
 /// (Figures 1/3/5/8), frequency residency (Figures 2/4/6), rail power and
 /// energy (Figure 9).
 ///
-/// Time series are decimated to `sample_period` to bound memory;
-/// residency and energy are integrated every tick at full resolution.
-///
-/// Sampled rows are stored twice: per-channel [`TimeSeries`] (the
-/// figure-plotting surface) and one column-major [`ColumnFrame`] with
-/// channels `time_s`, `temp_<sensor>_c`, `max_temp_c`, `power_<rail>_w`
-/// and `total_power_w` — the export and query surface.
+/// Sampled rows are decimated to `sample_period` to bound memory and
+/// stored once, in one column-major [`ColumnFrame`] with channels
+/// `time_s`, `temp_<sensor>_c`, `max_temp_c`, `power_<rail>_w` and
+/// `total_power_w`. Exports and queries read the frame; the per-channel
+/// [`TimeSeries`] accessors build their trace from it. Residency and
+/// energy are integrated every tick at full resolution.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     sample_period: f64,
     next_sample: f64,
     elapsed: f64,
-    temps: BTreeMap<String, TimeSeries>,
-    max_temp: TimeSeries,
     residency: BTreeMap<ComponentId, Residency>,
-    power: BTreeMap<ComponentId, TimeSeries>,
-    total_power: TimeSeries,
     energy: BTreeMap<ComponentId, f64>,
     total_energy: f64,
     frame: ColumnFrame,
+}
+
+const MAX_TEMP_CHANNEL: &str = "max_temp_c";
+const TOTAL_POWER_CHANNEL: &str = "total_power_w";
+
+/// The frame channel carrying a sensor's temperature.
+fn temp_channel(sensor: &str) -> String {
+    format!("temp_{sensor}_c")
+}
+
+/// The frame channel carrying a rail's power.
+fn power_channel(rail: &str) -> String {
+    format!("power_{rail}_w")
 }
 
 impl Telemetry {
@@ -48,11 +56,7 @@ impl Telemetry {
             sample_period: sample_period.value(),
             next_sample: 0.0,
             elapsed: 0.0,
-            temps: BTreeMap::new(),
-            max_temp: TimeSeries::new("max_temp_c"),
             residency: BTreeMap::new(),
-            power: BTreeMap::new(),
-            total_power: TimeSeries::new("total_power_w"),
             energy: BTreeMap::new(),
             total_energy: 0.0,
             frame: ColumnFrame::new(),
@@ -81,33 +85,23 @@ impl Telemetry {
             total += p;
         }
         self.total_energy += total * dt.value();
-        // Series decimate; the columnar frame appends the same rows.
+        // Sampled rows decimate to `sample_period`.
         if t + 1e-12 >= self.next_sample {
             self.next_sample = t + self.sample_period;
             self.frame.begin_row(t);
             let mut max_c = f64::NEG_INFINITY;
             for (name, c) in sensor_temps {
-                self.temps
-                    .entry(name.clone())
-                    .or_insert_with(|| TimeSeries::new(format!("temp_{name}_c")))
-                    .push(now, c.value());
-                self.frame.set_f64(&format!("temp_{name}_c"), c.value());
+                self.frame.set_f64(&temp_channel(name), c.value());
                 max_c = max_c.max(c.value());
             }
             if max_c.is_finite() {
-                self.max_temp.push(now, max_c);
-                self.frame.set_f64("max_temp_c", max_c);
+                self.frame.set_f64(MAX_TEMP_CHANNEL, max_c);
             }
             for (&id, b) in powers {
-                self.power
-                    .entry(id)
-                    .or_insert_with(|| TimeSeries::new(format!("power_{id}_w")))
-                    .push(now, b.total().value());
                 self.frame
-                    .set_f64(&format!("power_{id}_w"), b.total().value());
+                    .set_f64(&power_channel(id.key()), b.total().value());
             }
-            self.total_power.push(now, total);
-            self.frame.set_f64("total_power_w", total);
+            self.frame.set_f64(TOTAL_POWER_CHANNEL, total);
             self.frame.end_row();
         }
     }
@@ -133,17 +127,21 @@ impl Telemetry {
         Seconds::new(self.sample_period)
     }
 
-    /// The temperature trace of a named sensor.
+    /// The temperature trace of a named sensor (series `temp_<sensor>_c`,
+    /// only the rows the sensor reported), or `None` if it never did.
     #[must_use]
-    pub fn temperature(&self, sensor: &str) -> Option<&TimeSeries> {
-        self.temps.get(sensor)
+    pub fn temperature(&self, sensor: &str) -> Option<TimeSeries> {
+        self.frame.series(&temp_channel(sensor))
     }
 
-    /// The maximum-over-sensors temperature trace (the paper's Figure 8
-    /// y-axis is "Max. Temperature").
+    /// The maximum-over-sensors temperature trace `max_temp_c` (the
+    /// paper's Figure 8 y-axis is "Max. Temperature"); empty when no
+    /// sensor ever reported.
     #[must_use]
-    pub fn max_temperature(&self) -> &TimeSeries {
-        &self.max_temp
+    pub fn max_temperature(&self) -> TimeSeries {
+        self.frame
+            .series(MAX_TEMP_CHANNEL)
+            .unwrap_or_else(|| TimeSeries::new(MAX_TEMP_CHANNEL))
     }
 
     /// Frequency residency of a component.
@@ -152,16 +150,19 @@ impl Telemetry {
         self.residency.get(&id)
     }
 
-    /// Rail power trace of a component.
+    /// Rail power trace of a component (series `power_<rail>_w`), or
+    /// `None` if the rail never reported.
     #[must_use]
-    pub fn power_series(&self, id: ComponentId) -> Option<&TimeSeries> {
-        self.power.get(&id)
+    pub fn power_series(&self, id: ComponentId) -> Option<TimeSeries> {
+        self.frame.series(&power_channel(id.key()))
     }
 
-    /// Total power trace.
+    /// Total power trace `total_power_w`.
     #[must_use]
-    pub fn total_power(&self) -> &TimeSeries {
-        &self.total_power
+    pub fn total_power(&self) -> TimeSeries {
+        self.frame
+            .series(TOTAL_POWER_CHANNEL)
+            .unwrap_or_else(|| TimeSeries::new(TOTAL_POWER_CHANNEL))
     }
 
     /// Energy consumed by a component so far (joules).
@@ -221,11 +222,11 @@ impl Telemetry {
     /// expressions against before anything runs.
     #[must_use]
     pub fn channel_names_for(sensors: &[String], rails: &[&str]) -> Vec<String> {
-        let mut names = vec!["time_s".to_owned()];
-        names.extend(sensors.iter().map(|s| format!("temp_{s}_c")));
-        names.push("max_temp_c".to_owned());
-        names.extend(rails.iter().map(|r| format!("power_{r}_w")));
-        names.push("total_power_w".to_owned());
+        let mut names = vec![mpt_daq::columnar::TIME_CHANNEL.to_owned()];
+        names.extend(sensors.iter().map(|s| temp_channel(s)));
+        names.push(MAX_TEMP_CHANNEL.to_owned());
+        names.extend(rails.iter().map(|r| power_channel(r)));
+        names.push(TOTAL_POWER_CHANNEL.to_owned());
         names
     }
 
@@ -243,42 +244,6 @@ impl Telemetry {
     #[must_use]
     pub fn to_csv(&self) -> String {
         self.frame.to_csv()
-    }
-
-    /// The pre-columnar row-oriented CSV export: walks every
-    /// `TimeSeries` per row with a per-cell time lookup. Kept only as
-    /// the baseline for `benches/columnar.rs`; use
-    /// [`to_csv`](Self::to_csv).
-    #[doc(hidden)]
-    #[must_use]
-    pub fn to_csv_rows(&self) -> String {
-        let mut columns: Vec<(String, &TimeSeries)> = Vec::new();
-        for (name, ts) in &self.temps {
-            columns.push((format!("temp_{name}_c"), ts));
-        }
-        for (id, ts) in &self.power {
-            columns.push((format!("power_{id}_w"), ts));
-        }
-        columns.push(("total_power_w".to_owned(), &self.total_power));
-        let mut out = String::from("time_s");
-        for (name, _) in &columns {
-            out.push(',');
-            out.push_str(name);
-        }
-        out.push('\n');
-        let times = self.total_power.times();
-        for &t in times {
-            out.push_str(&format!("{t:?}"));
-            for (_, ts) in &columns {
-                let field = ts
-                    .at(mpt_units::Seconds::new(t))
-                    .map_or_else(String::new, |v| format!("{v:?}"));
-                out.push(',');
-                out.push_str(&field);
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -454,33 +419,52 @@ mod tests {
     }
 
     #[test]
-    fn frame_matches_series_content() {
+    fn series_accessors_read_the_frame() {
         let mut t = Telemetry::new(Seconds::new(0.1));
         for i in 0..20 {
+            let mut temps = vec![("big".to_owned(), Celsius::new(40.0 + i as f64))];
+            if i >= 10 {
+                temps.push(("late".to_owned(), Celsius::new(55.0)));
+            }
             t.record(
                 Seconds::new(i as f64 * 0.1),
                 Seconds::new(0.1),
-                &[("big".to_owned(), Celsius::new(40.0 + i as f64))],
+                &temps,
                 &[(ComponentId::BigCluster, Hertz::from_mhz(2000))],
                 &powers(2.0),
             );
         }
-        let frame = t.frame();
-        assert_eq!(frame.rows(), t.total_power().len());
-        assert_eq!(
-            frame.f64_column("temp_big_c").unwrap(),
-            t.temperature("big").unwrap().values()
-        );
-        assert_eq!(frame.times(), t.total_power().times());
-        assert_eq!(
-            Telemetry::channel_names_for(&["big".to_owned()], &["big"]),
-            vec![
-                "time_s",
-                "temp_big_c",
-                "max_temp_c",
-                "power_big_w",
-                "total_power_w"
-            ]
-        );
+        // Each series is named after its frame channel, and those are the
+        // channels the static schema promises.
+        let names = [
+            t.temperature("big").unwrap().name().to_owned(),
+            t.temperature("late").unwrap().name().to_owned(),
+            t.max_temperature().name().to_owned(),
+            t.power_series(ComponentId::BigCluster)
+                .unwrap()
+                .name()
+                .to_owned(),
+            t.total_power().name().to_owned(),
+        ];
+        let mut schema =
+            Telemetry::channel_names_for(&["big".to_owned(), "late".to_owned()], &["big"]);
+        schema.remove(0);
+        assert_eq!(names.to_vec(), schema);
+        // A late sensor yields only its real samples.
+        let late = t.temperature("late").unwrap();
+        assert_eq!(late.len(), 10);
+        assert_eq!(late.times(), &t.frame().times()[10..]);
+        assert!(late.values().iter().all(|&v| v == 55.0));
+        assert_eq!(t.temperature("big").unwrap().len(), 20);
+        // An absent sensor or rail gives `None`.
+        assert!(t.temperature("gpu").is_none());
+        assert!(t.power_series(ComponentId::Gpu).is_none());
+        // No sensors at all: an empty, still-named max trace.
+        let mut bare = Telemetry::new(Seconds::new(0.1));
+        bare.record(Seconds::ZERO, Seconds::new(0.1), &[], &[], &BTreeMap::new());
+        let max = bare.max_temperature();
+        assert!(max.is_empty());
+        assert_eq!(max.name(), "max_temp_c");
+        assert_eq!(bare.total_power().len(), 1);
     }
 }
