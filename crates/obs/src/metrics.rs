@@ -153,7 +153,9 @@ impl Counter {
                 "Cap-state transitions between uncapped and capped (trip crossings)."
             }
             Counter::GovernorFreqChanges => "cpufreq governor frequency changes.",
-            Counter::SysfsWrites => "Writes against the sysfs control plane.",
+            Counter::SysfsWrites => {
+                "Control-plane writes the simulator issues (thermal-governor caps)."
+            }
             Counter::CapChanges => "cap_changed events, including cap-level moves.",
             Counter::Migrations => "migration events (cluster moves).",
             Counter::WorkloadsFinished => "workload_finished events.",

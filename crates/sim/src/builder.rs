@@ -336,7 +336,7 @@ impl SimBuilder {
             sysfs: SysFs::new(),
             last_powers: BTreeMap::new(),
             pending_migrations: Arc::new(Mutex::new(Vec::new())),
-            cluster_mirror: Arc::new(Mutex::new(BTreeMap::new())),
+            sysfs_slots: crate::engine::SysfsSlots::default(),
             events: EventLog::new(),
             recorder,
             analysis,

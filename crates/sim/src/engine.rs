@@ -1,6 +1,7 @@
 //! The simulation engine: shared core state plus the staged pipeline.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mpt_kernel::{CpuFreqPolicy, Pid, Scheduler, ThermalAction};
@@ -111,8 +112,8 @@ pub struct SimCore {
     /// Cluster moves requested through the cpuset control plane, applied
     /// at the start of the next tick.
     pub(crate) pending_migrations: Arc<Mutex<Vec<(Pid, ComponentId)>>>,
-    /// Live mirror of each process's cluster, read by the cpuset files.
-    pub(crate) cluster_mirror: Arc<Mutex<BTreeMap<u32, &'static str>>>,
+    /// The typed values behind the live sysfs attributes.
+    pub(crate) sysfs_slots: SysfsSlots,
     pub(crate) events: EventLog,
     /// The run's observability recorder (shared with the campaign layer
     /// when several simulators feed one trace).
@@ -139,6 +140,49 @@ pub struct MacroStats {
     pub wakes_coalesced: u64,
     /// Bisection iterations spent refining trip-crossing wake times.
     pub trip_bisection_iters: u64,
+}
+
+/// One typed value behind a live sysfs attribute: kHz, millidegrees,
+/// microwatts, or a cluster's index in [`ComponentId::ALL`].
+type Slot = Arc<AtomicI64>;
+
+/// The slots behind the live sysfs attributes, parallel to the
+/// platform's components, temperature sensors and power rails, and to
+/// the attached workloads. Each slot publishes only its own value, so
+/// every load and store is `Relaxed`.
+#[derive(Debug, Default)]
+pub(crate) struct SysfsSlots {
+    cur_freq: Vec<Slot>,
+    max_freq: Vec<Slot>,
+    zone_temp: Vec<Slot>,
+    rail_uw: Vec<Slot>,
+    cluster: Vec<Slot>,
+}
+
+/// Registers a read-write attribute at `path` over a new slot holding
+/// `initial`: a read formats the number, and a write stores the value if
+/// it parses as `T`, rejecting it otherwise.
+fn bind_slot<T: std::str::FromStr + TryInto<i64>>(
+    sysfs: &SysFs,
+    path: &str,
+    initial: i64,
+) -> Result<Slot> {
+    let slot = Arc::new(AtomicI64::new(initial));
+    let (read, write) = (Arc::clone(&slot), Arc::clone(&slot));
+    sysfs.register(
+        path,
+        Attribute::with_handlers(
+            move || read.load(Ordering::Relaxed).to_string(),
+            move |value| match value.trim().parse::<T>().map(TryInto::try_into) {
+                Ok(Ok(v)) => {
+                    write.store(v, Ordering::Relaxed);
+                    Ok(())
+                }
+                _ => Err(format!("does not parse as {}", std::any::type_name::<T>())),
+            },
+        ),
+    )?;
+    Ok(slot)
 }
 
 impl SimCore {
@@ -221,34 +265,33 @@ impl SimCore {
         h.finish()
     }
 
-    /// Writes a sysfs attribute on behalf of the simulator core, counting
-    /// the write.
-    pub(crate) fn sysfs_write(&self, path: &str, value: &str) -> Result<()> {
-        self.recorder.incr(Counter::SysfsWrites);
-        self.sysfs.write(path, value)?;
-        Ok(())
-    }
-
+    /// Writes each thermal-governor cap through the sysfs tree — the
+    /// only control-plane writes the simulator itself issues, and so the
+    /// only ones [`Counter::SysfsWrites`] counts.
     pub(crate) fn apply_thermal_actions(&mut self, actions: &[ThermalAction]) -> Result<()> {
         for action in actions {
-            match *action {
+            let (component, cap) = match *action {
                 ThermalAction::SetMaxFreq { component, freq } => {
                     self.recorder.incr(Counter::ThrottleEvents);
-                    let path = mpt_kernel::paths::max_freq(component);
-                    self.sysfs_write(&path, &freq.as_khz().to_string())?;
+                    (component, freq)
                 }
-                ThermalAction::ClearCap { component } => {
-                    let top = self.component(component).opps().highest().frequency();
-                    let path = mpt_kernel::paths::max_freq(component);
-                    self.sysfs_write(&path, &top.as_khz().to_string())?;
-                }
-            }
+                ThermalAction::ClearCap { component } => (
+                    component,
+                    self.component(component).opps().highest().frequency(),
+                ),
+            };
+            self.recorder.incr(Counter::SysfsWrites);
+            let path = mpt_kernel::paths::max_freq(component);
+            self.sysfs.write(&path, &cap.as_khz().to_string())?;
         }
         // Caps take effect immediately within the same poll.
         self.apply_sysfs_caps()
     }
 
+    /// Registers the control-plane attributes, binding frequencies, zone
+    /// temperatures, rail powers and cpuset placements to [`SysfsSlots`].
     pub(crate) fn register_sysfs(&mut self) -> Result<()> {
+        let slots = &mut self.sysfs_slots;
         for component in self.platform.components() {
             let id = component.id();
             let top = component.opps().highest().frequency();
@@ -263,14 +306,11 @@ impl SimCore {
                 &mpt_kernel::paths::available_frequencies(id),
                 Attribute::constant(freq_list),
             )?;
-            self.sysfs.register(
-                &mpt_kernel::paths::cur_freq(id),
-                Attribute::value(bottom.as_khz().to_string()),
-            )?;
-            self.sysfs.register(
-                &mpt_kernel::paths::max_freq(id),
-                Attribute::value(top.as_khz().to_string()),
-            )?;
+            let cur = bind_slot::<u64>(&self.sysfs, &mpt_kernel::paths::cur_freq(id), 0)?;
+            slots.cur_freq.push(cur);
+            let top_khz = top.as_khz() as i64;
+            let max = bind_slot::<u64>(&self.sysfs, &mpt_kernel::paths::max_freq(id), top_khz)?;
+            slots.max_freq.push(max);
             self.sysfs.register(
                 &mpt_kernel::paths::min_freq(id),
                 Attribute::value(bottom.as_khz().to_string()),
@@ -285,45 +325,30 @@ impl SimCore {
                 &mpt_kernel::paths::thermal_zone_type(zone),
                 Attribute::constant(sensor.name()),
             )?;
-            self.sysfs.register(
-                &mpt_kernel::paths::thermal_zone_temp(zone),
-                Attribute::value("0"),
-            )?;
+            let path = mpt_kernel::paths::thermal_zone_temp(zone);
+            slots
+                .zone_temp
+                .push(bind_slot::<i64>(&self.sysfs, &path, 0)?);
         }
         for rail in self.platform.power_rails() {
-            self.sysfs.register(
-                &mpt_kernel::paths::power_rail_uw(rail.name()),
-                Attribute::value("0"),
-            )?;
+            let path = mpt_kernel::paths::power_rail_uw(rail.name());
+            slots.rail_uw.push(bind_slot::<i64>(&self.sysfs, &path, 0)?);
         }
         // cpuset placement files: one per attached process. Reads show
         // the live cluster; writes queue a migration for the next tick —
         // the cgroup path Android thermal daemons use for big.LITTLE
         // task placement.
-        let pids: Vec<Pid> = self.workloads.iter().map(|a| a.pid).collect();
-        for pid in pids {
-            let cluster = self
-                .scheduler
-                .process(pid)
-                .expect("attached workloads have processes")
-                .cluster();
-            self.cluster_mirror
-                .lock()
-                .expect("mirror mutex is never poisoned")
-                .insert(pid.value(), cluster.key());
-            let mirror = Arc::clone(&self.cluster_mirror);
+        for a in &self.workloads {
+            let cluster = Slot::default();
+            let read = Arc::clone(&cluster);
             let queue = Arc::clone(&self.pending_migrations);
-            let raw = pid.value();
+            let raw = a.pid.value();
             self.sysfs.register(
                 &mpt_kernel::paths::cpuset_cluster(raw),
                 Attribute::with_handlers(
                     move || {
-                        mirror
-                            .lock()
-                            .expect("mirror mutex is never poisoned")
-                            .get(&raw)
-                            .copied()
-                            .unwrap_or("?")
+                        ComponentId::ALL[read.load(Ordering::Relaxed) as usize]
+                            .key()
                             .to_owned()
                     },
                     move |value| {
@@ -344,45 +369,38 @@ impl SimCore {
                     },
                 ),
             )?;
+            slots.cluster.push(cluster);
         }
         Ok(())
     }
 
+    /// Publishes live state into the [`SysfsSlots`]: current
+    /// frequencies, zone temperatures and rail powers at the precision
+    /// their attributes report, and each process's cluster. Relaxed
+    /// stores only; nothing is formatted until an attribute is read.
     pub(crate) fn sync_sysfs(&self) -> Result<()> {
-        for (&id, policy) in &self.policies {
-            self.sysfs_write(
-                &mpt_kernel::paths::cur_freq(id),
-                &policy.current().as_khz().to_string(),
-            )?;
+        let slots = &self.sysfs_slots;
+        for (component, slot) in self.platform.components().iter().zip(&slots.cur_freq) {
+            let khz = self.policies[&component.id()].current().as_khz();
+            slot.store(khz as i64, Ordering::Relaxed);
         }
-        for (zone, sensor) in self.platform.temperature_sensors().iter().enumerate() {
+        let sensors = self.platform.temperature_sensors();
+        for (sensor, slot) in sensors.iter().zip(&slots.zone_temp) {
             if let Ok(c) = self.network.celsius_of(sensor.thermal_node()) {
                 // Millidegrees, as in real thermal zones.
-                self.sysfs_write(
-                    &mpt_kernel::paths::thermal_zone_temp(zone),
-                    &format!("{}", (c.value() * 1000.0).round() as i64),
-                )?;
+                slot.store((c.value() * 1000.0).round() as i64, Ordering::Relaxed);
             }
         }
-        for rail in self.platform.power_rails() {
+        for (rail, slot) in self.platform.power_rails().iter().zip(&slots.rail_uw) {
             let power = self
                 .last_powers
                 .get(&rail.component())
                 .map_or(0.0, |b| b.total().value());
-            self.sysfs_write(
-                &mpt_kernel::paths::power_rail_uw(rail.name()),
-                &format!("{}", (power * 1e6).round() as i64),
-            )?;
+            slot.store((power * 1e6).round() as i64, Ordering::Relaxed);
         }
-        {
-            let mut mirror = self
-                .cluster_mirror
-                .lock()
-                .expect("mirror mutex is never poisoned");
-            for a in &self.workloads {
-                if let Some(p) = self.scheduler.process(a.pid) {
-                    mirror.insert(a.pid.value(), p.cluster().key());
-                }
+        for (a, slot) in self.workloads.iter().zip(&slots.cluster) {
+            if let Some(p) = self.scheduler.process(a.pid) {
+                slot.store(p.cluster() as i64, Ordering::Relaxed);
             }
         }
         Ok(())
@@ -402,10 +420,11 @@ impl SimCore {
     }
 
     pub(crate) fn apply_sysfs_caps(&mut self) -> Result<()> {
-        for component in self.platform.components() {
+        let caps = &self.sysfs_slots.max_freq;
+        for (component, slot) in self.platform.components().iter().zip(caps) {
             let id = component.id();
-            let khz: u64 = self.sysfs.read_parsed(&mpt_kernel::paths::max_freq(id))?;
-            let cap = Hertz::from_khz(khz);
+            // The write handler only stores values that parse as u64.
+            let cap = Hertz::from_khz(slot.load(Ordering::Relaxed) as u64);
             let top = component.opps().highest().frequency();
             let policy = self
                 .policies

@@ -12,10 +12,11 @@ use crate::queue::WakeKind;
 use crate::stages::{SimStage, StepContext, Wake};
 use crate::{Result, SystemPolicy, SystemView};
 
-/// Applies external writes to the sysfs control plane — frequency caps
-/// and queued cpuset migrations — at the start of the tick, so a daemon
-/// (or test) writing between ticks sees its change take effect exactly
-/// one tick later, as on real hardware.
+/// Applies external writes to the sysfs control plane — the frequency
+/// caps held in the `scaling_max_freq` slots and queued cpuset
+/// migrations — at the start of the tick, so a daemon (or test) writing
+/// between ticks sees its change take effect exactly one tick later, as
+/// on real hardware.
 #[derive(Debug, Default)]
 pub struct SysfsControlStage;
 

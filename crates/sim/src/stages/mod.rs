@@ -5,7 +5,7 @@
 //! [`StepContext`] from stage to stage:
 //!
 //! 1. [`govern::SysfsControlStage`] — external sysfs writes (frequency
-//!    caps, cpuset moves) take effect.
+//!    caps from their slots, queued cpuset moves) take effect.
 //! 2. [`demand::DemandStage`] — workloads express demand.
 //! 3. [`schedule::ScheduleStage`] — per-cluster max–min allocation and
 //!    delivery back to the workloads.
@@ -15,8 +15,8 @@
 //! 6. [`observe::TelemetryStage`] — time-series/residency recording.
 //! 7. [`govern::GovernStage`] — cpufreq governors, the periodic thermal
 //!    governor, and the optional [`SystemPolicy`](crate::SystemPolicy).
-//! 8. [`observe::EventStage`] — discrete-event detection and the sysfs
-//!    state mirror.
+//! 8. [`observe::EventStage`] — discrete-event detection, then a publish
+//!    of live state into the typed slots behind the sysfs attributes.
 //! 9. [`analyze::AnalyzeStage`] — derived observables, alert rules, and
 //!    the domain counter tracks (temperature/power/frequency/FPS).
 //!

@@ -1,4 +1,5 @@
-//! Observation: telemetry recording, discrete events, sysfs mirroring.
+//! Observation: telemetry recording, discrete events, and the publish of
+//! live state into the slots behind the sysfs attributes.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -51,8 +52,9 @@ impl SimStage for TelemetryStage {
 }
 
 /// Detects discrete events (cluster migrations, workload completions)
-/// against its previous-tick snapshot, then mirrors live state back into
-/// the sysfs control plane.
+/// against its previous-tick snapshot, then publishes live frequencies,
+/// temperatures, rail powers and clusters into the typed slots the sysfs
+/// attributes read from.
 #[derive(Debug, Default)]
 pub struct EventStage {
     prev_clusters: BTreeMap<Pid, ComponentId>,
