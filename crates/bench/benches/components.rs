@@ -51,11 +51,31 @@ fn bench_thermal_network(c: &mut Criterion) {
         powers[1] = Watts::new(2.5);
         b.iter(|| net.steady_state(&powers))
     });
+    // The governor's per-poll cost: the network is warmed outside the
+    // timed region, as a long-running simulation's is.
     group.bench_function("reduce_to_lumped", |b| {
         let net = RcNetwork::from_spec(&spec).expect("valid spec");
         let mut powers = vec![Watts::ZERO; net.len()];
         powers[1] = Watts::new(2.5);
+        let _ = net.reduce(&powers, 1, 1700.0, 8000.0);
         b.iter(|| net.reduce(&powers, 1, 1700.0, 8000.0))
+    });
+    // The first reduction on a fresh network builds the memoised gain
+    // matrix and time constant: the one-off cost lint and the ablations
+    // pay per network.
+    group.bench_function("reduce_to_lumped_cold", |b| {
+        let mut powers = vec![Watts::ZERO; spec.nodes.len()];
+        powers[1] = Watts::new(2.5);
+        b.iter_batched(
+            || RcNetwork::from_spec(&spec).expect("valid spec"),
+            |net| net.reduce(&powers, 1, 1700.0, 8000.0),
+            BatchSize::SmallInput,
+        )
+    });
+    group.bench_function("dominant_time_constant", |b| {
+        let net = RcNetwork::from_spec(&spec).expect("valid spec");
+        let _ = net.dominant_time_constant();
+        b.iter(|| net.dominant_time_constant())
     });
     group.finish();
 }

@@ -1,7 +1,7 @@
 //! The application-aware thermal governor (paper Section IV-B).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use mpt_sim::{SystemPolicy, SystemView};
 use mpt_soc::ComponentId;
@@ -52,15 +52,32 @@ impl Default for AppAwareConfig {
     }
 }
 
+/// The stored `last_prediction_mc` when there is no prediction:
+/// before the first evaluation, or after one that predicted runaway.
+const NO_PREDICTION: i64 = i64::MIN;
+
 /// Shared counters exposing what the governor did — readable while the
 /// simulator owns the governor.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct GovernorStats {
     evaluations: AtomicU64,
     activations: AtomicU64,
     migrations: AtomicU64,
     restorations: AtomicU64,
-    last_prediction_mc: Mutex<Option<i64>>,
+    /// Millidegrees Celsius, or [`NO_PREDICTION`].
+    last_prediction_mc: AtomicI64,
+}
+
+impl Default for GovernorStats {
+    fn default() -> Self {
+        Self {
+            evaluations: AtomicU64::default(),
+            activations: AtomicU64::default(),
+            migrations: AtomicU64::default(),
+            restorations: AtomicU64::default(),
+            last_prediction_mc: AtomicI64::new(NO_PREDICTION),
+        }
+    }
 }
 
 impl GovernorStats {
@@ -92,18 +109,13 @@ impl GovernorStats {
     /// `None` if the last evaluation predicted thermal runaway.
     #[must_use]
     pub fn last_prediction(&self) -> Option<Celsius> {
-        self.last_prediction_mc
-            .lock()
-            .expect("stats mutex is never poisoned")
-            .map(|mc| Celsius::new(mc as f64 / 1000.0))
+        let mc = self.last_prediction_mc.load(Ordering::Relaxed);
+        (mc != NO_PREDICTION).then(|| Celsius::new(mc as f64 / 1000.0))
     }
 
     fn set_prediction(&self, p: Option<Kelvin>) {
-        *self
-            .last_prediction_mc
-            .lock()
-            .expect("stats mutex is never poisoned") =
-            p.map(|k| (k.to_celsius().value() * 1000.0) as i64);
+        let mc = p.map_or(NO_PREDICTION, |k| (k.to_celsius().value() * 1000.0) as i64);
+        self.last_prediction_mc.store(mc, Ordering::Relaxed);
     }
 }
 
@@ -398,6 +410,17 @@ mod tests {
         assert_eq!(stats.migrations(), 0, "nothing to migrate on a cool system");
         let p = stats.last_prediction().expect("stable prediction");
         assert!(p.value() < 95.0, "predicted {p}");
+    }
+
+    #[test]
+    fn prediction_sentinel_round_trips() {
+        let stats = GovernorStats::default();
+        assert_eq!(stats.last_prediction(), None);
+        stats.set_prediction(Some(Celsius::new(71.5).to_kelvin()));
+        let p = stats.last_prediction().expect("stored prediction");
+        assert!((p.value() - 71.5).abs() < 2e-3, "read back {p}");
+        stats.set_prediction(None);
+        assert_eq!(stats.last_prediction(), None);
     }
 
     #[test]

@@ -32,6 +32,13 @@ pub enum ThermalError {
         /// The requested name.
         name: String,
     },
+    /// A node index was out of range for the network.
+    NodeOutOfRange {
+        /// The requested index.
+        index: usize,
+        /// The network's node count.
+        len: usize,
+    },
 }
 
 impl fmt::Display for ThermalError {
@@ -49,6 +56,9 @@ impl fmt::Display for ThermalError {
                 write!(f, "lumped parameter {name} has invalid value {value}")
             }
             Self::UnknownNode { name } => write!(f, "unknown thermal node {name:?}"),
+            Self::NodeOutOfRange { index, len } => {
+                write!(f, "thermal node index {index} out of range for {len} nodes")
+            }
         }
     }
 }

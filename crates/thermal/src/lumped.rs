@@ -30,6 +30,15 @@ use mpt_units::{Kelvin, Seconds, Watts};
 
 use crate::{Result, ThermalError};
 
+/// Whether a bisection bracket can no longer shrink: its midpoint rounds
+/// onto an end. From then on every further step either leaves the
+/// bracket as it is or collapses it onto `mid`, and in both cases the
+/// final `0.5·(lo + hi)` is `mid` — so stopping here returns the same
+/// bits as running all 200 steps.
+fn bracket_is_exhausted(lo: f64, mid: f64, hi: f64) -> bool {
+    mid == lo || mid == hi
+}
+
 /// The pair of temperature fixed points of a stable configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FixedPoints {
@@ -269,6 +278,9 @@ impl LumpedModel {
         let mut lo = 1e-12;
         for _ in 0..200 {
             let mid = 0.5 * (lo + hi);
+            if bracket_is_exhausted(lo, mid, hi) {
+                break;
+            }
             if self.fixed_point_derivative(mid, p_dyn) > 0.0 {
                 lo = mid;
             } else {
@@ -283,6 +295,9 @@ impl LumpedModel {
         let f_lo = self.fixed_point_function(lo, p_dyn);
         for _ in 0..200 {
             let mid = 0.5 * (lo + hi);
+            if bracket_is_exhausted(lo, mid, hi) {
+                break;
+            }
             let f_mid = self.fixed_point_function(mid, p_dyn);
             if (f_mid > 0.0) == (f_lo > 0.0) {
                 lo = mid;
@@ -342,6 +357,9 @@ impl LumpedModel {
         }
         for _ in 0..200 {
             let mid = 0.5 * (lo + hi);
+            if bracket_is_exhausted(lo, mid, hi) {
+                break;
+            }
             if h(mid) < d {
                 lo = mid;
             } else {
@@ -462,6 +480,175 @@ mod tests {
 
     fn odroid() -> LumpedModel {
         LumpedModel::odroid_xu3()
+    }
+
+    /// Verbatim copies of the fixed 200-step bisections that preceded
+    /// the early exit — the reference the shipped loops must match bit
+    /// for bit.
+    mod reference {
+        use super::*;
+
+        fn argmax_theta(m: &LumpedModel, p_dyn: Watts) -> f64 {
+            let (c, _) = m.coeffs(p_dyn);
+            let mut hi = (1.0 / c).max(4.0);
+            while m.fixed_point_derivative(hi, p_dyn) > 0.0 {
+                hi *= 2.0;
+                if hi > 1e9 {
+                    break;
+                }
+            }
+            let mut lo = 1e-12;
+            for _ in 0..200 {
+                let mid = 0.5 * (lo + hi);
+                if m.fixed_point_derivative(mid, p_dyn) > 0.0 {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            0.5 * (lo + hi)
+        }
+
+        fn bisect_root(m: &LumpedModel, mut lo: f64, mut hi: f64, p_dyn: Watts) -> f64 {
+            let f_lo = m.fixed_point_function(lo, p_dyn);
+            for _ in 0..200 {
+                let mid = 0.5 * (lo + hi);
+                let f_mid = m.fixed_point_function(mid, p_dyn);
+                if (f_mid > 0.0) == (f_lo > 0.0) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            0.5 * (lo + hi)
+        }
+
+        pub(super) fn stability(m: &LumpedModel, p_dyn: Watts) -> Stability {
+            let peak_theta = argmax_theta(m, p_dyn);
+            let peak = m.fixed_point_function(peak_theta, p_dyn);
+            if peak < -1e-9 {
+                return Stability::Runaway;
+            }
+            if peak < 1e-9 {
+                return Stability::CriticallyStable {
+                    point: m.temperature_from_aux(peak_theta),
+                };
+            }
+            let mut hi = peak_theta + 1.0;
+            while m.fixed_point_function(hi, p_dyn) > 0.0 {
+                hi = peak_theta + (hi - peak_theta) * 2.0;
+            }
+            let unstable_aux = bisect_root(m, 1e-12, peak_theta, p_dyn);
+            let stable_aux = bisect_root(m, peak_theta, hi, p_dyn);
+            Stability::Stable(FixedPoints {
+                stable: m.temperature_from_aux(stable_aux),
+                unstable: m.temperature_from_aux(unstable_aux),
+                stable_aux,
+                unstable_aux,
+            })
+        }
+
+        pub(super) fn critical_point(m: &LumpedModel) -> Option<(Watts, Kelvin)> {
+            let d = m.r_th * m.leak_gain * m.beta;
+            if d <= 0.0 {
+                return None;
+            }
+            let mut lo = 1e-9;
+            let mut hi = 1.0;
+            let h = |theta: f64| theta / (theta + 2.0) * theta.exp();
+            while h(hi) < d && hi < 1e3 {
+                hi *= 2.0;
+            }
+            for _ in 0..200 {
+                let mid = 0.5 * (lo + hi);
+                if h(mid) < d {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            let theta = 0.5 * (lo + hi);
+            let c = (theta + 1.0) / (theta * (theta + 2.0));
+            let p = Watts::new(((c * m.beta - m.t_ambient.value()) / m.r_th).max(0.0));
+            Some((p, m.temperature_from_aux(theta)))
+        }
+
+        pub(super) fn power_budget_for_limit(m: &LumpedModel, limit: Kelvin) -> Watts {
+            if limit <= m.t_ambient {
+                return Watts::ZERO;
+            }
+            if let Some((p_crit, t_crit)) = critical_point(m) {
+                if limit >= t_crit {
+                    return p_crit;
+                }
+            }
+            let raw = (limit.value() - m.t_ambient.value()) / m.r_th - m.leakage(limit).value();
+            Watts::new(raw.max(0.0))
+        }
+    }
+
+    /// The bit patterns of a classification, so `NaN`s and signed zeros
+    /// compare exactly.
+    fn stability_bits(s: Stability) -> Vec<u64> {
+        match s {
+            Stability::Stable(fp) => vec![
+                0,
+                fp.stable.value().to_bits(),
+                fp.unstable.value().to_bits(),
+                fp.stable_aux.to_bits(),
+                fp.unstable_aux.to_bits(),
+            ],
+            Stability::CriticallyStable { point } => vec![1, point.value().to_bits()],
+            Stability::Runaway => vec![2],
+        }
+    }
+
+    fn assert_matches_reference(m: &LumpedModel, p_dyn: Watts) {
+        assert_eq!(
+            stability_bits(m.stability(p_dyn)),
+            stability_bits(reference::stability(m, p_dyn)),
+            "stability at {p_dyn} for {m:?}"
+        );
+        assert_eq!(
+            m.steady_state_temperature(p_dyn)
+                .map(|t| t.value().to_bits()),
+            reference::stability(m, p_dyn)
+                .steady_state()
+                .map(|t| t.value().to_bits()),
+        );
+        let reference_crit = reference::critical_point(m);
+        assert_eq!(
+            m.critical_point()
+                .map(|(p, t)| (p.value().to_bits(), t.value().to_bits())),
+            reference_crit.map(|(p, t)| (p.value().to_bits(), t.value().to_bits())),
+        );
+        assert_eq!(
+            m.critical_power().value().to_bits(),
+            reference_crit
+                .map_or(f64::INFINITY, |(p, _)| p.value())
+                .to_bits()
+        );
+        for limit_c in [40.0, 70.0, 95.0, 130.0] {
+            let limit = Kelvin::new(273.15 + limit_c);
+            assert_eq!(
+                m.power_budget_for_limit(limit).value().to_bits(),
+                reference::power_budget_for_limit(m, limit)
+                    .value()
+                    .to_bits(),
+                "budget at {limit_c} C"
+            );
+        }
+    }
+
+    #[test]
+    fn early_exit_bisections_match_the_fixed_200_steps_on_the_presets() {
+        let m = odroid();
+        for p in [0.0, 0.5, 2.0, 3.65, 5.45, 5.5, 5.55, 8.0, 12.0] {
+            assert_matches_reference(&m, Watts::new(p));
+        }
+        let leak_free =
+            LumpedModel::new(Kelvin::new(298.15), 10.0, 8000.0, 0.0, Seconds::new(100.0)).unwrap();
+        assert_matches_reference(&leak_free, Watts::new(4.0));
     }
 
     #[test]
@@ -689,6 +876,24 @@ mod tests {
                     prop_assert!((p - p_crit).abs() < 1e-3)
                 }
             }
+        }
+
+        #[test]
+        fn prop_early_exit_bisections_are_bit_exact(
+            p in 0.0_f64..12.0,
+            r_scale in 0.5_f64..2.0,
+            leak_scale in 0.0_f64..3.0,
+        ) {
+            let base = odroid();
+            let m = LumpedModel::new(
+                base.t_ambient(),
+                base.r_th() * r_scale,
+                base.beta(),
+                base.leak_gain() * leak_scale,
+                base.tau(),
+            )
+            .unwrap();
+            assert_matches_reference(&m, Watts::new(p));
         }
 
         #[test]

@@ -1,7 +1,7 @@
 //! Multi-node RC thermal network.
 #![allow(clippy::needless_range_loop)] // indexed loops mirror the matrix math
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mpt_units::{Celsius, Kelvin, Seconds, Watts};
 
@@ -33,6 +33,11 @@ use crate::{linalg, LumpedModel, Result, ThermalError};
 /// steady-state, time-constant and lumped-model analyses below all
 /// consume the same matrices the solver integrates.
 ///
+/// Nothing mutates that LTI form after construction, so the analyses
+/// that depend only on it — the steady-state gain matrix and the dominant
+/// time constant — are memoised on first use and carried along by
+/// `clone`. Node temperatures do not enter them.
+///
 /// # Examples
 ///
 /// ```
@@ -56,6 +61,11 @@ pub struct RcNetwork {
     lti: ThermalLti,
     temperatures: Vec<Kelvin>,
     solver: Box<dyn ThermalSolver>,
+    /// Steady-state gains `dT_i/dP_j`, row-major at `i·n + j`; filled by
+    /// the first [`gain`](Self::gain) or [`reduce`](Self::reduce).
+    gains: OnceLock<Result<Vec<f64>>>,
+    /// Filled by the first [`dominant_time_constant`](Self::dominant_time_constant).
+    tau: OnceLock<Result<Seconds>>,
 }
 
 impl RcNetwork {
@@ -91,6 +101,8 @@ impl RcNetwork {
             lti,
             temperatures: vec![ambient; n],
             solver: kind.build(cache),
+            gains: OnceLock::new(),
+            tau: OnceLock::new(),
         })
     }
 
@@ -270,25 +282,70 @@ impl RcNetwork {
     /// The steady-state thermal gain `dT_i/dP_j` in K/W: how much node `i`
     /// heats per watt injected at node `j`.
     ///
+    /// Memoised: the first call builds the whole n×n gain matrix from one
+    /// zero-power and n unit-power [`steady_state`](Self::steady_state)
+    /// solves; later calls (on this network or a clone) are a lookup.
+    ///
     /// # Errors
     ///
+    /// [`ThermalError::NodeOutOfRange`] if either index is out of range;
     /// [`ThermalError::SingularNetwork`].
     pub fn gain(&self, node: usize, injected_at: usize) -> Result<f64> {
-        let mut powers = vec![Watts::ZERO; self.len()];
-        powers[injected_at] = Watts::new(1.0);
-        let with = self.steady_state(&powers)?;
-        let without = self.steady_state(&vec![Watts::ZERO; self.len()])?;
-        Ok(with[node].value() - without[node].value())
+        self.check_node(node)?;
+        self.check_node(injected_at)?;
+        let n = self.len();
+        let gains = self
+            .gains
+            .get_or_init(|| self.gain_matrix())
+            .as_ref()
+            .map_err(Clone::clone)?;
+        Ok(gains[node * n + injected_at])
+    }
+
+    fn check_node(&self, index: usize) -> Result<()> {
+        if index < self.len() {
+            Ok(())
+        } else {
+            Err(ThermalError::NodeOutOfRange {
+                index,
+                len: self.len(),
+            })
+        }
+    }
+
+    /// Every gain, row-major: entry `(i, j)` is `with_j[i] − without[i]`,
+    /// from one zero-power solve and one unit-power solve per node `j`.
+    fn gain_matrix(&self) -> Result<Vec<f64>> {
+        let n = self.len();
+        let without = self.steady_state(&vec![Watts::ZERO; n])?;
+        let mut powers = vec![Watts::ZERO; n];
+        let mut gains = vec![0.0; n * n];
+        for j in 0..n {
+            powers[j] = Watts::new(1.0);
+            let with = self.steady_state(&powers)?;
+            powers[j] = Watts::ZERO;
+            for i in 0..n {
+                gains[i * n + j] = with[i].value() - without[i].value();
+            }
+        }
+        Ok(gains)
     }
 
     /// The slowest natural time constant of the network, in seconds:
     /// `1/λ_min` of `C⁻¹G`, computed by power iteration on `G⁻¹C`. This
     /// is the mode that dominates long package/board temperature ramps.
     ///
+    /// Memoised: the 200-step power iteration runs on the first call
+    /// only.
+    ///
     /// # Errors
     ///
     /// [`ThermalError::SingularNetwork`].
     pub fn dominant_time_constant(&self) -> Result<Seconds> {
+        self.tau.get_or_init(|| self.power_iterate_tau()).clone()
+    }
+
+    fn power_iterate_tau(&self) -> Result<Seconds> {
         let n = self.len();
         // Power iteration on G⁻¹C (the LTI form's assembled conductance
         // matrix): dominant eigenvalue = slowest τ.
@@ -318,8 +375,13 @@ impl RcNetwork {
     /// `beta` come from the caller (summed over components at their
     /// current voltages); `tau` is the network's dominant time constant.
     ///
+    /// Both come from the memoised [`gain`](Self::gain) matrix and
+    /// [`dominant_time_constant`](Self::dominant_time_constant), so after
+    /// the first call a reduction is O(n) and allocation-free.
+    ///
     /// # Errors
     ///
+    /// [`ThermalError::NodeOutOfRange`] for a bad `hot_node`;
     /// [`ThermalError::SingularNetwork`], a power-length mismatch, or
     /// invalid derived parameters.
     pub fn reduce(
@@ -335,6 +397,7 @@ impl RcNetwork {
                 actual: powers.len(),
             });
         }
+        self.check_node(hot_node)?;
         let total: f64 = powers.iter().map(|p| p.value()).sum();
         let mut r_eq = 0.0;
         if total > 1e-9 {
@@ -418,6 +481,151 @@ mod tests {
             for i in 0..n {
                 temps[i] = Kelvin::new(temps[i].value() + h * deriv[i]);
             }
+        }
+    }
+
+    /// Verbatim copy of `RcNetwork::gain` before the gain matrix was
+    /// memoised: two fresh steady-state solves per call.
+    fn prememo_gain(net: &RcNetwork, node: usize, injected_at: usize) -> f64 {
+        let mut powers = vec![Watts::ZERO; net.len()];
+        powers[injected_at] = Watts::new(1.0);
+        let with = net.steady_state(&powers).unwrap();
+        let without = net.steady_state(&vec![Watts::ZERO; net.len()]).unwrap();
+        with[node].value() - without[node].value()
+    }
+
+    /// Verbatim copy of `RcNetwork::dominant_time_constant` before it was
+    /// memoised.
+    fn prememo_dominant_time_constant(net: &RcNetwork) -> Seconds {
+        let n = net.len();
+        let g = linalg::Mat::from_rows(&net.lti.g_full);
+        let mut x = vec![1.0; n];
+        let mut tau = 0.0;
+        for _ in 0..200 {
+            let cx: Vec<f64> = (0..n).map(|i| net.lti.heat_capacity[i] * x[i]).collect();
+            let y = linalg::solve(g.clone(), cx).unwrap();
+            let norm = y.iter().map(|v| v * v).sum::<f64>().sqrt();
+            assert!(norm >= 1e-300);
+            tau = norm;
+            for i in 0..n {
+                x[i] = y[i] / norm;
+            }
+        }
+        Seconds::new(tau)
+    }
+
+    /// The lumped resistance `reduce` computed before the memo, in the
+    /// same summation order.
+    fn prememo_r_eq(net: &RcNetwork, powers: &[Watts], hot_node: usize) -> f64 {
+        let total: f64 = powers.iter().map(|p| p.value()).sum();
+        let mut r_eq = 0.0;
+        if total > 1e-9 {
+            for (j, p) in powers.iter().enumerate() {
+                if p.value() > 0.0 {
+                    r_eq += prememo_gain(net, hot_node, j) * (p.value() / total);
+                }
+            }
+        } else {
+            r_eq = prememo_gain(net, hot_node, hot_node);
+        }
+        r_eq
+    }
+
+    fn assert_analysis_matches_prememo(net: &RcNetwork, label: &str) {
+        let n = net.len();
+        for i in 0..n {
+            for j in 0..n {
+                assert_eq!(
+                    net.gain(i, j).unwrap().to_bits(),
+                    prememo_gain(net, i, j).to_bits(),
+                    "{label}: gain({i}, {j})"
+                );
+            }
+        }
+        let tau = prememo_dominant_time_constant(net);
+        assert_eq!(
+            net.dominant_time_constant().unwrap().value().to_bits(),
+            tau.value().to_bits(),
+            "{label}: tau"
+        );
+        let mut mixes = vec![vec![Watts::ZERO; n]];
+        for k in 0..n {
+            let mut powers: Vec<Watts> = (0..n)
+                .map(|j| Watts::new(0.3 + 0.7 * ((j + k) % n) as f64))
+                .collect();
+            powers[(k + 1) % n] = Watts::ZERO;
+            mixes.push(powers);
+        }
+        for powers in &mixes {
+            for hot in 0..n {
+                let lumped = net.reduce(powers, hot, 1700.0, 8000.0).unwrap();
+                assert_eq!(
+                    lumped.r_th().to_bits(),
+                    prememo_r_eq(net, powers, hot).to_bits(),
+                    "{label}: r_th at hot node {hot}, powers {powers:?}"
+                );
+                assert_eq!(lumped.tau().value().to_bits(), tau.value().to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn memoised_analysis_is_bit_identical_to_fresh_solves() {
+        for platform in [platforms::exynos_5422(), platforms::snapdragon_810()] {
+            let label = platform.name().to_owned();
+            let cold = RcNetwork::from_spec(platform.thermal_spec()).unwrap();
+            let warm_clone = {
+                let warm = RcNetwork::from_spec(platform.thermal_spec()).unwrap();
+                warm.reduce(&vec![Watts::new(1.0); warm.len()], 0, 1700.0, 8000.0)
+                    .unwrap();
+                warm.clone()
+            };
+            // A clone taken before the first use fills its own memo.
+            let cold_clone = cold.clone();
+            assert_analysis_matches_prememo(&cold, &format!("{label} fresh"));
+            assert_analysis_matches_prememo(&cold, &format!("{label} memoised"));
+            assert_analysis_matches_prememo(&warm_clone, &format!("{label} warm clone"));
+            assert_analysis_matches_prememo(&cold_clone, &format!("{label} cold clone"));
+            let mut heated = cold;
+            let temps: Vec<Kelvin> = (0..heated.len())
+                .map(|i| Kelvin::new(330.0 + i as f64))
+                .collect();
+            heated.set_temperatures(&temps).unwrap();
+            assert_analysis_matches_prememo(&heated, &format!("{label} heated"));
+        }
+    }
+
+    #[test]
+    fn gain_rejects_out_of_range_node() {
+        let net = odroid_network();
+        let n = net.len();
+        assert_eq!(
+            net.gain(n, 0).unwrap_err(),
+            ThermalError::NodeOutOfRange { index: n, len: n }
+        );
+    }
+
+    #[test]
+    fn gain_rejects_out_of_range_injection_node() {
+        // With a flat n×n table, (0, n) would alias gain(1, 0).
+        let net = odroid_network();
+        let n = net.len();
+        net.gain(0, 0).unwrap();
+        assert_eq!(
+            net.gain(0, n).unwrap_err(),
+            ThermalError::NodeOutOfRange { index: n, len: n }
+        );
+    }
+
+    #[test]
+    fn reduce_rejects_out_of_range_hot_node() {
+        let net = odroid_network();
+        let n = net.len();
+        for powers in [vec![Watts::ZERO; n], vec![Watts::new(1.0); n]] {
+            assert_eq!(
+                net.reduce(&powers, n, 1700.0, 8000.0).unwrap_err(),
+                ThermalError::NodeOutOfRange { index: n, len: n }
+            );
         }
     }
 
