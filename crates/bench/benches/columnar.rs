@@ -34,18 +34,12 @@ fn session_60s() -> Telemetry {
     let dt = Seconds::new(0.1);
     for i in 0..600 {
         let t = i as f64 * 0.1;
-        let temps: Vec<(String, Celsius)> = SENSORS
+        let temps = SENSORS
             .iter()
             .enumerate()
-            .map(|(s, name)| {
-                (
-                    (*name).to_owned(),
-                    Celsius::new(40.0 + 10.0 * (t * 0.1 + s as f64).sin()),
-                )
-            })
-            .collect();
+            .map(|(s, &name)| (name, Celsius::new(40.0 + 10.0 * (t * 0.1 + s as f64).sin())));
         let freqs = [(ComponentId::BigCluster, Hertz::from_mhz(1800))];
-        telemetry.record(Seconds::new(t), dt, &temps, &freqs, &tick_powers(t));
+        telemetry.record(Seconds::new(t), dt, temps, &freqs, &tick_powers(t));
     }
     telemetry
 }

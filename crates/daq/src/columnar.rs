@@ -407,13 +407,20 @@ impl ColumnFrame {
     fn set(&mut self, name: &str, make: impl FnOnce(usize) -> ColumnData) -> SetSlot<'_> {
         assert!(self.open, "set outside begin_row/end_row");
         let rows = self.rows;
-        let i = *self.index.entry(name.to_owned()).or_insert_with(|| {
-            self.columns.push(Column {
-                name: name.to_owned(),
-                data: make(rows),
-            });
-            self.columns.len() - 1
-        });
+        // Look up before inserting: `entry` would need an owned key, an
+        // allocation on every set of an existing channel.
+        let i = match self.index.get(name) {
+            Some(&i) => i,
+            None => {
+                let i = self.columns.len();
+                self.columns.push(Column {
+                    name: name.to_owned(),
+                    data: make(rows),
+                });
+                self.index.insert(name.to_owned(), i);
+                i
+            }
+        };
         SetSlot {
             data: &mut self.columns[i].data,
             rows,

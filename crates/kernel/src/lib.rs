@@ -50,7 +50,7 @@ pub mod thermal_gov;
 pub use cpufreq::{CpuFreqPolicy, FrequencyGovernor, GovernorKind};
 pub use error::KernelError;
 pub use process::{Pid, Process, ProcessClass, UtilWindow};
-pub use sched::{allocate_max_min, Allocation, Scheduler};
+pub use sched::{allocate_max_min, allocate_max_min_into, Allocation, Scheduler};
 pub use thermal_gov::{
     ActorState, DisabledGovernor, IpaConfig, IpaGovernor, StepWiseGovernor, ThermalAction,
     ThermalGovernor, TripPoint,

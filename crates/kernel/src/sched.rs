@@ -41,24 +41,41 @@ pub struct Allocation {
 /// ```
 #[must_use]
 pub fn allocate_max_min(demands: &[(Pid, f64)], capacity: f64) -> Vec<Allocation> {
-    let mut order: Vec<usize> = (0..demands.len()).collect();
+    let mut result = Vec::new();
+    allocate_max_min_into(demands, capacity, &mut Vec::new(), &mut result);
+    result
+}
+
+/// [`allocate_max_min`] into caller-owned buffers: `order` is scratch
+/// and `result` receives one allocation per demand, in demand order. A
+/// caller that keeps both across calls allocates nothing once they have
+/// grown to the largest demand list.
+pub fn allocate_max_min_into(
+    demands: &[(Pid, f64)],
+    capacity: f64,
+    order: &mut Vec<usize>,
+    result: &mut Vec<Allocation>,
+) {
+    order.clear();
+    order.extend(0..demands.len());
     order.sort_by(|&i, &j| {
         demands[i]
             .1
             .partial_cmp(&demands[j].1)
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let mut result = vec![
+    result.clear();
+    result.resize(
+        demands.len(),
         Allocation {
             pid: Pid::new(0),
             delivered: 0.0,
-            demanded: 0.0
-        };
-        demands.len()
-    ];
+            demanded: 0.0,
+        },
+    );
     let mut remaining = capacity.max(0.0);
     let mut left = demands.len();
-    for &idx in &order {
+    for &idx in order.iter() {
         let (pid, demand) = demands[idx];
         let demand = demand.max(0.0);
         let fair_share = remaining / left as f64;
@@ -71,7 +88,6 @@ pub fn allocate_max_min(demands: &[(Pid, f64)], capacity: f64) -> Vec<Allocation
         remaining -= granted;
         left -= 1;
     }
-    result
 }
 
 /// The process table: spawn, kill, migrate, and per-tick accounting.
@@ -424,6 +440,27 @@ mod tests {
                 capacity,
             );
             prop_assert!((out[0].delivered - out[1].delivered).abs() < 1e-9);
+        }
+
+        #[test]
+        fn prop_reused_buffers_match_fresh_allocations(
+            rounds in proptest::collection::vec(
+                (proptest::collection::vec(0.0_f64..50.0, 0..8), 0.0_f64..100.0),
+                1..6,
+            ),
+        ) {
+            // Buffers left dirty by a longer or shorter previous round
+            // must not leak into the next one.
+            let (mut order, mut result) = (Vec::new(), Vec::new());
+            for (demands, capacity) in rounds {
+                let demands: Vec<(Pid, f64)> = demands
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, d)| (Pid::new(i as u32 + 1), d))
+                    .collect();
+                allocate_max_min_into(&demands, capacity, &mut order, &mut result);
+                prop_assert_eq!(&result, &allocate_max_min(&demands, capacity));
+            }
         }
     }
 }

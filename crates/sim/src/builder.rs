@@ -371,6 +371,7 @@ impl SimBuilder {
             queue: EventQueue::new(),
             last_fingerprint: None,
             quiescent: false,
+            ctx: crate::stages::StepContext::default(),
         })
     }
 }

@@ -185,24 +185,27 @@ fn bind_slot<T: std::str::FromStr + TryInto<i64>>(
     Ok(slot)
 }
 
+/// Each temperature sensor that reads, as `(name, temperature)`, in the
+/// platform's sensor order. Lazy and borrowing, so a pass that records no
+/// sample row pays nothing; takes the two fields rather than `&SimCore`
+/// so the caller can hold the telemetry mutably meanwhile.
+pub(crate) fn sensor_temps<'a>(
+    platform: &'a Platform,
+    network: &'a RcNetwork,
+) -> impl Iterator<Item = (&'a str, Celsius)> + 'a {
+    platform.temperature_sensors().iter().filter_map(|s| {
+        network
+            .celsius_of(s.thermal_node())
+            .ok()
+            .map(|c| (s.name(), c))
+    })
+}
+
 impl SimCore {
     pub(crate) fn component(&self, id: ComponentId) -> &Component {
         self.platform
             .component(id)
             .expect("policies only exist for platform components")
-    }
-
-    pub(crate) fn sensor_temps(&self) -> Vec<(String, Celsius)> {
-        self.platform
-            .temperature_sensors()
-            .iter()
-            .filter_map(|s| {
-                self.network
-                    .celsius_of(s.thermal_node())
-                    .ok()
-                    .map(|c| (s.name().to_owned(), c))
-            })
-            .collect()
     }
 
     pub(crate) fn control_temperature(&self) -> Celsius {
@@ -476,6 +479,8 @@ pub struct Simulator {
     /// consecutive passes.
     pub(crate) last_fingerprint: Option<u64>,
     pub(crate) quiescent: bool,
+    /// The per-pass scratch state, reset (not rebuilt) every pass.
+    pub(crate) ctx: StepContext,
 }
 
 /// Number of whole base ticks (at least one) needed to reach `target`
@@ -676,18 +681,18 @@ impl Simulator {
     /// reported a touch interaction during the pass.
     fn pass(&mut self, dt: Seconds) -> Result<bool> {
         let recorder = Arc::clone(&self.core.recorder);
-        let mut ctx = StepContext::new(self.core.clock.now(), dt);
+        self.ctx.reset(self.core.clock.now(), dt);
         {
             let _tick = recorder.span_with_hist("tick", "tick", self.tick_hist);
             for (stage, &hist) in self.stages.iter_mut().zip(&self.stage_hists) {
                 let _stage = recorder.span_with_hist("stage", stage.name(), hist);
-                stage.run(&mut self.core, &mut ctx)?;
+                stage.run(&mut self.core, &mut self.ctx)?;
             }
         }
         recorder.incr(Counter::Ticks);
         recorder.add(Counter::StageRuns, self.stages.len() as u64);
         self.core.clock.advance(dt);
-        Ok(ctx.interaction)
+        Ok(self.ctx.interaction)
     }
 
     /// Advances the simulation by one base tick: runs each pipeline

@@ -16,7 +16,10 @@ use crate::{EventKind, Result};
 /// per-component frequency, foreground FPS, throttle state) into one
 /// [`TickSample`] and hands it to the core's analysis state.
 #[derive(Debug, Default)]
-pub struct AnalyzeStage;
+pub struct AnalyzeStage {
+    /// This pass's `(component, MHz)` rows, reused across passes.
+    freqs_mhz: Vec<(ComponentId, f64)>,
+}
 
 impl SimStage for AnalyzeStage {
     fn name(&self) -> &'static str {
@@ -46,11 +49,12 @@ impl SimStage for AnalyzeStage {
             .iter()
             .filter(|e| matches!(e.kind, EventKind::CapChanged { cap: Some(_), .. }))
             .count() as u64;
-        let freqs_mhz: Vec<(ComponentId, f64)> = core
-            .policies
-            .iter()
-            .map(|(&id, p)| (id, p.current().as_khz() as f64 / 1000.0))
-            .collect();
+        self.freqs_mhz.clear();
+        self.freqs_mhz.extend(
+            core.policies
+                .iter()
+                .map(|(&id, p)| (id, p.current().as_khz() as f64 / 1000.0)),
+        );
         let sample = TickSample {
             t_s: (ctx.now + ctx.dt).value(),
             dt_s: ctx.dt.value(),
@@ -66,7 +70,7 @@ impl SimStage for AnalyzeStage {
             ref mut analysis,
             ..
         } = *core;
-        analysis.observe_tick(recorder, events, &sample, &freqs_mhz);
+        analysis.observe_tick(recorder, events, &sample, &self.freqs_mhz);
         Ok(())
     }
 

@@ -91,9 +91,7 @@ impl SimStage for GovernStage {
         // cpufreq governors.
         for (&id, policy) in &mut core.policies {
             let utilization = match id {
-                ComponentId::LittleCluster | ComponentId::BigCluster => {
-                    ctx.cluster_util.get(&id).copied().unwrap_or(0.0)
-                }
+                ComponentId::LittleCluster | ComponentId::BigCluster => ctx.cluster_util[id],
                 ComponentId::Gpu => ctx.gpu_util,
                 ComponentId::Memory => 1.0,
             };
@@ -114,16 +112,8 @@ impl SimStage for GovernStage {
         self.since_thermal += dt;
         if self.since_thermal >= self.thermal_period {
             self.since_thermal = Seconds::ZERO;
-            let little_busy = ctx
-                .cluster_busy_cores
-                .get(&ComponentId::LittleCluster)
-                .copied()
-                .unwrap_or(0.0);
-            let big_busy = ctx
-                .cluster_busy_cores
-                .get(&ComponentId::BigCluster)
-                .copied()
-                .unwrap_or(0.0);
+            let little_busy = ctx.cluster_busy_cores[ComponentId::LittleCluster];
+            let big_busy = ctx.cluster_busy_cores[ComponentId::BigCluster];
             let control = core.control_temperature();
             let actors: Vec<ActorState> = core
                 .last_powers

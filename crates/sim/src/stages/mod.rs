@@ -20,10 +20,10 @@
 //! 9. [`analyze::AnalyzeStage`] — derived observables, alert rules, and
 //!    the domain counter tracks (temperature/power/frequency/FPS).
 //!
-//! Stage-local state (governor phase accumulators, previous-cluster
-//! maps) lives inside the stage structs; everything shared lives in
-//! `SimCore`; everything produced and consumed within one tick lives in
-//! `StepContext`.
+//! Stage-local state (governor phase accumulators, previous-pass
+//! snapshots, scratch buffers) lives inside the stage structs;
+//! everything shared lives in `SimCore`; everything produced and
+//! consumed within one tick lives in `StepContext`.
 
 pub mod analyze;
 pub mod demand;
@@ -34,6 +34,7 @@ pub mod schedule;
 pub mod thermal;
 
 use std::collections::BTreeMap;
+use std::ops::{Index, IndexMut};
 
 use mpt_kernel::{Pid, ThermalGovernor};
 use mpt_soc::{ComponentId, PowerBreakdown};
@@ -85,11 +86,32 @@ impl Wake {
     }
 }
 
-/// Per-tick scratch state carried through the pipeline.
+/// One value per component, indexed by [`ComponentId`] (its position in
+/// [`ComponentId::ALL`]).
+#[derive(Debug, Default)]
+pub struct PerComponent<T>([T; ComponentId::ALL.len()]);
+
+impl<T> Index<ComponentId> for PerComponent<T> {
+    type Output = T;
+
+    fn index(&self, id: ComponentId) -> &T {
+        &self.0[id as usize]
+    }
+}
+
+impl<T> IndexMut<ComponentId> for PerComponent<T> {
+    fn index_mut(&mut self, id: ComponentId) -> &mut T {
+        &mut self.0[id as usize]
+    }
+}
+
+/// Per-pass scratch state carried through the pipeline.
 ///
-/// A fresh context is created at the top of every
-/// [`Simulator::step`](crate::Simulator::step); earlier stages fill the
-/// maps that later stages consume.
+/// The simulator keeps one context for its whole run and
+/// [`reset`](Self::reset)s it at the top of every pass, so its buffers
+/// keep their capacity: earlier stages fill them and later stages
+/// consume them. Per-workload slots are parallel to `demands`, which is
+/// in attach order.
 #[derive(Debug, Default)]
 pub struct StepContext {
     /// Simulation time at the start of the tick.
@@ -98,19 +120,23 @@ pub struct StepContext {
     pub dt: Seconds,
     /// Whether any workload reported a touch interaction this tick.
     pub interaction: bool,
-    /// Each process's demand for the tick.
+    /// Each process's demand for the tick, in attach order.
     pub demands: Vec<(Pid, Demand)>,
-    /// CPU cycles actually delivered to each process.
-    pub delivered_cpu: BTreeMap<Pid, f64>,
-    /// GPU cycles actually delivered to each process.
-    pub delivered_gpu: BTreeMap<Pid, f64>,
-    /// Busy-core equivalents per CPU cluster (0..=core count).
-    pub cluster_busy_cores: BTreeMap<ComponentId, f64>,
+    /// CPU cycles actually delivered to each workload, parallel to
+    /// `demands`.
+    pub delivered_cpu: Vec<f64>,
+    /// GPU cycles actually delivered to each workload, parallel to
+    /// `demands`.
+    pub delivered_gpu: Vec<f64>,
+    /// Busy-core equivalents per CPU cluster (0..=core count; 0 for
+    /// other components and absent clusters).
+    pub cluster_busy_cores: PerComponent<f64>,
     /// Governor-visible utilization per CPU cluster (busiest-thread
-    /// corrected, 0..=1).
-    pub cluster_util: BTreeMap<ComponentId, f64>,
-    /// Per-cluster delivered cycles, by process.
-    pub cluster_delivered: BTreeMap<ComponentId, Vec<(Pid, f64)>>,
+    /// corrected, 0..=1; 0 for other components and absent clusters).
+    pub cluster_util: PerComponent<f64>,
+    /// Per-cluster delivered cycles as `(index into demands, cycles)`,
+    /// in attach order.
+    pub cluster_delivered: PerComponent<Vec<(usize, f64)>>,
     /// GPU utilization (0..=1).
     pub gpu_util: f64,
     /// Per-component power of this tick.
@@ -118,14 +144,22 @@ pub struct StepContext {
 }
 
 impl StepContext {
-    /// A fresh context for the tick starting at `now`.
-    #[must_use]
-    pub fn new(now: Seconds, dt: Seconds) -> Self {
-        Self {
-            now,
-            dt,
-            ..Self::default()
+    /// Empties the context for the pass starting at `now`, keeping every
+    /// buffer's capacity.
+    pub fn reset(&mut self, now: Seconds, dt: Seconds) {
+        self.now = now;
+        self.dt = dt;
+        self.interaction = false;
+        self.demands.clear();
+        self.delivered_cpu.clear();
+        self.delivered_gpu.clear();
+        self.cluster_busy_cores = PerComponent::default();
+        self.cluster_util = PerComponent::default();
+        for per_pid in &mut self.cluster_delivered.0 {
+            per_pid.clear();
         }
+        self.gpu_util = 0.0;
+        self.powers.clear();
     }
 }
 
@@ -181,16 +215,16 @@ pub(crate) fn default_pipeline(
     vec![
         Box::new(govern::SysfsControlStage),
         Box::new(demand::DemandStage),
-        Box::new(schedule::ScheduleStage),
-        Box::new(power::PowerStage),
-        Box::new(thermal::ThermalStage),
-        Box::new(observe::TelemetryStage),
+        Box::new(schedule::ScheduleStage::default()),
+        Box::new(power::PowerStage::default()),
+        Box::new(thermal::ThermalStage::default()),
+        Box::new(observe::TelemetryStage::default()),
         Box::new(govern::GovernStage::new(
             thermal_governor,
             thermal_period,
             system_policy,
         )),
         Box::new(observe::EventStage::default()),
-        Box::new(analyze::AnalyzeStage),
+        Box::new(analyze::AnalyzeStage::default()),
     ]
 }

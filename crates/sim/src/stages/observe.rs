@@ -1,13 +1,10 @@
 //! Observation: telemetry recording, discrete events, and the publish of
 //! live state into the slots behind the sysfs attributes.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use mpt_kernel::Pid;
 use mpt_soc::ComponentId;
 use mpt_units::{Hertz, Seconds};
 
-use crate::engine::{log_event, SimCore};
+use crate::engine::{log_event, sensor_temps, SimCore};
 use crate::queue::WakeKind;
 use crate::stages::{SimStage, StepContext, Wake};
 use crate::{Event, EventKind, Result};
@@ -16,7 +13,10 @@ use crate::{Event, EventKind, Result};
 /// energy) and latches this tick's powers as
 /// [`Simulator::last_powers`](crate::Simulator::last_powers).
 #[derive(Debug, Default)]
-pub struct TelemetryStage;
+pub struct TelemetryStage {
+    /// This pass's `(component, frequency)` rows, reused across passes.
+    freqs: Vec<(ComponentId, Hertz)>,
+}
 
 impl SimStage for TelemetryStage {
     fn name(&self) -> &'static str {
@@ -24,14 +24,12 @@ impl SimStage for TelemetryStage {
     }
 
     fn run(&mut self, core: &mut SimCore, ctx: &mut StepContext) -> Result<()> {
-        let freqs: Vec<(ComponentId, Hertz)> = core
-            .policies
-            .iter()
-            .map(|(&id, p)| (id, p.current()))
-            .collect();
-        let sensor_temps = core.sensor_temps();
+        self.freqs.clear();
+        self.freqs
+            .extend(core.policies.iter().map(|(&id, p)| (id, p.current())));
+        let sensor_temps = sensor_temps(&core.platform, &core.network);
         core.telemetry
-            .record(ctx.now, ctx.dt, &sensor_temps, &freqs, &ctx.powers);
+            .record(ctx.now, ctx.dt, sensor_temps, &self.freqs, &ctx.powers);
         core.last_powers = std::mem::take(&mut ctx.powers);
         Ok(())
     }
@@ -52,13 +50,16 @@ impl SimStage for TelemetryStage {
 }
 
 /// Detects discrete events (cluster migrations, workload completions)
-/// against its previous-tick snapshot, then publishes live frequencies,
+/// against its previous-pass snapshot, then publishes live frequencies,
 /// temperatures, rail powers and clusters into the typed slots the sysfs
 /// attributes read from.
 #[derive(Debug, Default)]
 pub struct EventStage {
-    prev_clusters: BTreeMap<Pid, ComponentId>,
-    finished: BTreeSet<Pid>,
+    /// Each workload's cluster after the previous pass, parallel to
+    /// `SimCore::workloads`.
+    prev_clusters: Vec<Option<ComponentId>>,
+    /// Whether each workload's completion has been logged.
+    finished: Vec<bool>,
 }
 
 impl SimStage for EventStage {
@@ -67,12 +68,14 @@ impl SimStage for EventStage {
     }
 
     fn run(&mut self, core: &mut SimCore, ctx: &mut StepContext) -> Result<()> {
-        for a in &core.workloads {
+        self.prev_clusters.resize(core.workloads.len(), None);
+        self.finished.resize(core.workloads.len(), false);
+        for (i, a) in core.workloads.iter().enumerate() {
             let Some(p) = core.scheduler.process(a.pid) else {
                 continue;
             };
             let cluster = p.cluster();
-            if let Some(&prev) = self.prev_clusters.get(&a.pid) {
+            if let Some(prev) = self.prev_clusters[i].replace(cluster) {
                 if prev != cluster {
                     log_event(
                         &core.recorder,
@@ -89,8 +92,7 @@ impl SimStage for EventStage {
                     );
                 }
             }
-            self.prev_clusters.insert(a.pid, cluster);
-            if a.workload.is_finished() && self.finished.insert(a.pid) {
+            if a.workload.is_finished() && !std::mem::replace(&mut self.finished[i], true) {
                 log_event(
                     &core.recorder,
                     &mut core.events,

@@ -1,8 +1,5 @@
 //! The power model and per-process power accounting.
 
-use std::collections::BTreeMap;
-
-use mpt_kernel::Pid;
 use mpt_soc::ComponentId;
 use mpt_units::Watts;
 
@@ -15,7 +12,10 @@ use crate::Result;
 /// — the positive feedback loop), then attributes cluster dynamic power
 /// to processes and records their utilization/power windows.
 #[derive(Debug, Default)]
-pub struct PowerStage;
+pub struct PowerStage {
+    /// Attributed dynamic power per workload, parallel to the demands.
+    attributed: Vec<f64>,
+}
 
 impl SimStage for PowerStage {
     fn name(&self) -> &'static str {
@@ -24,16 +24,8 @@ impl SimStage for PowerStage {
 
     fn run(&mut self, core: &mut SimCore, ctx: &mut StepContext) -> Result<()> {
         let dt = ctx.dt;
-        let little_busy = ctx
-            .cluster_busy_cores
-            .get(&ComponentId::LittleCluster)
-            .copied()
-            .unwrap_or(0.0);
-        let big_busy = ctx
-            .cluster_busy_cores
-            .get(&ComponentId::BigCluster)
-            .copied()
-            .unwrap_or(0.0);
+        let little_busy = ctx.cluster_busy_cores[ComponentId::LittleCluster];
+        let big_busy = ctx.cluster_busy_cores[ComponentId::BigCluster];
 
         // Per-component power (leakage from the previous tick's
         // temperatures).
@@ -68,19 +60,20 @@ impl SimStage for PowerStage {
         // utilization of each active process", i.e. by their *CPU*
         // activity — GPU power is a property of the display pipeline, not
         // of a schedulable process, so it is not attributed.
-        let mut attributed: BTreeMap<Pid, f64> = BTreeMap::new();
-        for (cluster, per_pid) in &ctx.cluster_delivered {
+        self.attributed.clear();
+        self.attributed.resize(ctx.demands.len(), 0.0);
+        for cluster in [ComponentId::LittleCluster, ComponentId::BigCluster] {
+            let per_pid = &ctx.cluster_delivered[cluster];
             let total: f64 = per_pid.iter().map(|(_, c)| c).sum();
             if total <= 0.0 {
                 continue;
             }
-            let dyn_power = ctx.powers[cluster].dynamic.value();
-            for (pid, c) in per_pid {
-                *attributed.entry(*pid).or_insert(0.0) += dyn_power * c / total;
+            let dyn_power = ctx.powers[&cluster].dynamic.value();
+            for &(i, c) in per_pid {
+                self.attributed[i] += dyn_power * c / total;
             }
         }
-        let pids: Vec<Pid> = core.workloads.iter().map(|a| a.pid).collect();
-        for pid in pids {
+        for (i, &(pid, _)) in ctx.demands.iter().enumerate() {
             let cluster = core
                 .scheduler
                 .process(pid)
@@ -90,11 +83,11 @@ impl SimStage for PowerStage {
             let freq = core.policies[&cluster].current();
             let per_core = component.effective_rate(freq) * dt.value();
             let util = if per_core > 0.0 {
-                ctx.delivered_cpu.get(&pid).copied().unwrap_or(0.0) / per_core
+                ctx.delivered_cpu[i] / per_core
             } else {
                 0.0
             };
-            let power = Watts::new(attributed.get(&pid).copied().unwrap_or(0.0));
+            let power = Watts::new(self.attributed[i]);
             if let Some(p) = core.scheduler.process_mut(pid) {
                 p.record_tick(util, power, dt);
             }

@@ -1,6 +1,6 @@
 //! Cycle allocation and delivery: the scheduler stage.
 
-use mpt_kernel::{allocate_max_min, Pid};
+use mpt_kernel::{allocate_max_min_into, Allocation, Pid};
 use mpt_soc::ComponentId;
 
 use crate::engine::SimCore;
@@ -11,10 +11,19 @@ use crate::Result;
 /// processes (respecting per-process parallelism), allocates the GPU the
 /// same way, and delivers the granted cycles back to the workloads.
 ///
-/// Produces the delivered-cycle maps and the utilization figures every
+/// Produces the delivered-cycle slots and the utilization figures every
 /// later stage consumes.
 #[derive(Debug, Default)]
-pub struct ScheduleStage;
+pub struct ScheduleStage {
+    /// Each workload's cluster this pass, parallel to the demands.
+    clusters: Vec<Option<ComponentId>>,
+    /// One allocation's requests, the demand index of each, and its
+    /// sort scratch and result.
+    requests: Vec<(Pid, f64)>,
+    members: Vec<usize>,
+    order: Vec<usize>,
+    allocations: Vec<Allocation>,
+}
 
 impl SimStage for ScheduleStage {
     fn name(&self) -> &'static str {
@@ -23,6 +32,15 @@ impl SimStage for ScheduleStage {
 
     fn run(&mut self, core: &mut SimCore, ctx: &mut StepContext) -> Result<()> {
         let dt = ctx.dt;
+        let n = ctx.demands.len();
+        ctx.delivered_cpu.resize(n, 0.0);
+        ctx.delivered_gpu.resize(n, 0.0);
+        self.clusters.clear();
+        self.clusters.extend(
+            ctx.demands
+                .iter()
+                .map(|(pid, _)| core.scheduler.process(*pid).map(|p| p.cluster())),
+        );
 
         // CPU clusters.
         for cluster in [ComponentId::LittleCluster, ComponentId::BigCluster] {
@@ -33,66 +51,71 @@ impl SimStage for ScheduleStage {
             let per_core = component.effective_rate(freq) * dt.value();
             let cores = f64::from(component.core_count());
             let capacity = per_core * cores;
-            let requests: Vec<(Pid, f64)> = ctx
-                .demands
-                .iter()
-                .filter(|(pid, _)| {
-                    core.scheduler
-                        .process(*pid)
-                        .is_some_and(|p| p.cluster() == cluster)
-                })
-                .map(|(pid, d)| (*pid, d.cpu_cycles.min(d.cpu_threads * per_core)))
-                .collect();
-            let allocations = allocate_max_min(&requests, capacity);
+            self.requests.clear();
+            self.members.clear();
+            for (i, (pid, d)) in ctx.demands.iter().enumerate() {
+                if self.clusters[i] == Some(cluster) {
+                    self.requests
+                        .push((*pid, d.cpu_cycles.min(d.cpu_threads * per_core)));
+                    self.members.push(i);
+                }
+            }
+            allocate_max_min_into(
+                &self.requests,
+                capacity,
+                &mut self.order,
+                &mut self.allocations,
+            );
             let mut total = 0.0;
-            let mut per_pid = Vec::new();
+            let per_pid = &mut ctx.cluster_delivered[cluster];
             // Governors see the *busiest CPU's* load, as the Linux
             // cpufreq core does (a single saturated thread must drive the
             // cluster to high frequency even though the cluster-average
             // utilization is only 1/cores).
             let mut busiest_thread = 0.0_f64;
-            for alloc in &allocations {
-                ctx.delivered_cpu.insert(alloc.pid, alloc.delivered);
+            for (alloc, &i) in self.allocations.iter().zip(&self.members) {
+                ctx.delivered_cpu[i] = alloc.delivered;
                 total += alloc.delivered;
-                per_pid.push((alloc.pid, alloc.delivered));
-                let threads = ctx
-                    .demands
-                    .iter()
-                    .find(|(pid, _)| *pid == alloc.pid)
-                    .map_or(1.0, |(_, d)| d.cpu_threads.clamp(1.0, cores));
+                per_pid.push((i, alloc.delivered));
+                let threads = ctx.demands[i].1.cpu_threads.clamp(1.0, cores);
                 if per_core > 0.0 {
                     busiest_thread = busiest_thread.max(alloc.delivered / (threads * per_core));
                 }
             }
-            ctx.cluster_delivered.insert(cluster, per_pid);
-            let busy = if per_core > 0.0 {
+            ctx.cluster_busy_cores[cluster] = if per_core > 0.0 {
                 total / per_core
             } else {
                 0.0
             };
-            ctx.cluster_busy_cores.insert(cluster, busy);
             let avg = if capacity > 0.0 {
                 total / capacity
             } else {
                 0.0
             };
-            ctx.cluster_util.insert(cluster, avg.max(busiest_thread));
+            ctx.cluster_util[cluster] = avg.max(busiest_thread);
         }
 
         // GPU.
         if core.platform.component(ComponentId::Gpu).is_ok() {
             let freq = core.policies[&ComponentId::Gpu].current();
             let capacity = freq.as_f64() * dt.value();
-            let requests: Vec<(Pid, f64)> = ctx
-                .demands
-                .iter()
-                .filter(|(_, d)| d.gpu_cycles > 0.0)
-                .map(|(pid, d)| (*pid, d.gpu_cycles))
-                .collect();
-            let allocations = allocate_max_min(&requests, capacity);
+            self.requests.clear();
+            self.members.clear();
+            for (i, (pid, d)) in ctx.demands.iter().enumerate() {
+                if d.gpu_cycles > 0.0 {
+                    self.requests.push((*pid, d.gpu_cycles));
+                    self.members.push(i);
+                }
+            }
+            allocate_max_min_into(
+                &self.requests,
+                capacity,
+                &mut self.order,
+                &mut self.allocations,
+            );
             let mut total = 0.0;
-            for alloc in &allocations {
-                ctx.delivered_gpu.insert(alloc.pid, alloc.delivered);
+            for (alloc, &i) in self.allocations.iter().zip(&self.members) {
+                ctx.delivered_gpu[i] = alloc.delivered;
                 total += alloc.delivered;
             }
             ctx.gpu_util = if capacity > 0.0 {
@@ -103,10 +126,9 @@ impl SimStage for ScheduleStage {
         }
 
         // Deliver to workloads.
-        for a in &mut core.workloads {
-            let cpu = ctx.delivered_cpu.get(&a.pid).copied().unwrap_or(0.0);
-            let gpu = ctx.delivered_gpu.get(&a.pid).copied().unwrap_or(0.0);
-            a.workload.deliver(cpu, gpu, ctx.now, dt);
+        for (i, a) in core.workloads.iter_mut().enumerate() {
+            a.workload
+                .deliver(ctx.delivered_cpu[i], ctx.delivered_gpu[i], ctx.now, dt);
         }
         Ok(())
     }

@@ -10,7 +10,10 @@ use crate::Result;
 /// Maps per-component power onto thermal-network nodes and integrates
 /// the heat equation across the tick.
 #[derive(Debug, Default)]
-pub struct ThermalStage;
+pub struct ThermalStage {
+    /// This pass's power per thermal node, reused across passes.
+    node_powers: Vec<Watts>,
+}
 
 impl SimStage for ThermalStage {
     fn name(&self) -> &'static str {
@@ -18,7 +21,9 @@ impl SimStage for ThermalStage {
     }
 
     fn run(&mut self, core: &mut SimCore, ctx: &mut StepContext) -> Result<()> {
-        let mut node_powers = vec![Watts::ZERO; core.network.len()];
+        let node_powers = &mut self.node_powers;
+        node_powers.clear();
+        node_powers.resize(core.network.len(), Watts::ZERO);
         for (&id, breakdown) in &ctx.powers {
             let node = core
                 .platform
@@ -28,9 +33,9 @@ impl SimStage for ThermalStage {
             node_powers[node] += breakdown.total();
         }
         if let Some(trace) = core.power_trace.as_mut() {
-            trace.push_tick(&node_powers);
+            trace.push_tick(node_powers);
         }
-        let stats = core.network.step(ctx.dt, &node_powers)?;
+        let stats = core.network.step(ctx.dt, node_powers)?;
         if stats.cache_hit {
             core.recorder.incr(Counter::SolverCacheHits);
         }

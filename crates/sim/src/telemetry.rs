@@ -25,6 +25,11 @@ pub struct Telemetry {
     energy: BTreeMap<ComponentId, f64>,
     total_energy: f64,
     frame: ColumnFrame,
+    /// `(sensor, temp_<sensor>_c)`, interned the first time a sensor
+    /// reports so sample rows format no channel names.
+    temp_channels: Vec<(String, String)>,
+    /// `power_<rail>_w` per component, indexed like [`ComponentId::ALL`].
+    power_channels: [String; ComponentId::ALL.len()],
 }
 
 const MAX_TEMP_CHANNEL: &str = "max_temp_c";
@@ -60,15 +65,18 @@ impl Telemetry {
             energy: BTreeMap::new(),
             total_energy: 0.0,
             frame: ColumnFrame::new(),
+            temp_channels: Vec::new(),
+            power_channels: ComponentId::ALL.map(|id| power_channel(id.key())),
         }
     }
 
-    /// Records one tick.
-    pub fn record(
+    /// Records one tick. `sensor_temps` yields `(sensor, temperature)`
+    /// and is only consumed on the ticks that record a sample row.
+    pub fn record<'a>(
         &mut self,
         now: Seconds,
         dt: Seconds,
-        sensor_temps: &[(String, Celsius)],
+        sensor_temps: impl IntoIterator<Item = (&'a str, Celsius)>,
         freqs: &[(ComponentId, Hertz)],
         powers: &BTreeMap<ComponentId, PowerBreakdown>,
     ) {
@@ -91,7 +99,15 @@ impl Telemetry {
             self.frame.begin_row(t);
             let mut max_c = f64::NEG_INFINITY;
             for (name, c) in sensor_temps {
-                self.frame.set_f64(&temp_channel(name), c.value());
+                let i = match self.temp_channels.iter().position(|(s, _)| s == name) {
+                    Some(i) => i,
+                    None => {
+                        self.temp_channels
+                            .push((name.to_owned(), temp_channel(name)));
+                        self.temp_channels.len() - 1
+                    }
+                };
+                self.frame.set_f64(&self.temp_channels[i].1, c.value());
                 max_c = max_c.max(c.value());
             }
             if max_c.is_finite() {
@@ -99,7 +115,7 @@ impl Telemetry {
             }
             for (&id, b) in powers {
                 self.frame
-                    .set_f64(&power_channel(id.key()), b.total().value());
+                    .set_f64(&self.power_channels[id as usize], b.total().value());
             }
             self.frame.set_f64(TOTAL_POWER_CHANNEL, total);
             self.frame.end_row();
@@ -268,7 +284,7 @@ mod tests {
             t.record(
                 Seconds::new(i as f64 * 0.01),
                 dt,
-                &[("big".to_owned(), Celsius::new(40.0))],
+                [("big", Celsius::new(40.0))],
                 &[(ComponentId::BigCluster, Hertz::from_mhz(2000))],
                 &powers(2.0),
             );
@@ -290,7 +306,7 @@ mod tests {
             t.record(
                 Seconds::new(i as f64 * 0.01),
                 dt,
-                &[],
+                [],
                 &[(ComponentId::BigCluster, Hertz::from_mhz(f))],
                 &BTreeMap::new(),
             );
@@ -307,10 +323,7 @@ mod tests {
         t.record(
             Seconds::ZERO,
             Seconds::new(0.01),
-            &[
-                ("big".to_owned(), Celsius::new(60.0)),
-                ("gpu".to_owned(), Celsius::new(72.0)),
-            ],
+            [("big", Celsius::new(60.0)), ("gpu", Celsius::new(72.0))],
             &[],
             &BTreeMap::new(),
         );
@@ -341,7 +354,7 @@ mod tests {
             t.record(
                 Seconds::new(i as f64 * 0.1),
                 Seconds::new(0.1),
-                &[("big".to_owned(), Celsius::new(40.0 + i as f64))],
+                [("big", Celsius::new(40.0 + i as f64))],
                 &[(ComponentId::BigCluster, Hertz::from_mhz(2000))],
                 &powers(2.0),
             );
@@ -366,14 +379,14 @@ mod tests {
         for i in 0..20 {
             // The "late" sensor only reports from t = 1.0 s on, so its
             // column has no samples for the first half of the run.
-            let mut temps = vec![("big".to_owned(), Celsius::new(40.0))];
+            let mut temps = vec![("big", Celsius::new(40.0))];
             if i >= 10 {
-                temps.push(("late".to_owned(), Celsius::new(55.0)));
+                temps.push(("late", Celsius::new(55.0)));
             }
             t.record(
                 Seconds::new(i as f64 * 0.1),
                 Seconds::new(0.1),
-                &temps,
+                temps,
                 &[(ComponentId::BigCluster, Hertz::from_mhz(2000))],
                 &powers(2.0),
             );
@@ -400,14 +413,14 @@ mod tests {
         for i in 0..20 {
             // Irrational-ish temperatures exercise shortest-repr
             // formatting; the late sensor exercises NaN back-fill.
-            let mut temps = vec![("big".to_owned(), Celsius::new(40.0 + (i as f64) / 3.0))];
+            let mut temps = vec![("big", Celsius::new(40.0 + (i as f64) / 3.0))];
             if i >= 10 {
-                temps.push(("late".to_owned(), Celsius::new(55.5)));
+                temps.push(("late", Celsius::new(55.5)));
             }
             t.record(
                 Seconds::new(i as f64 * 0.1),
                 Seconds::new(0.1),
-                &temps,
+                temps,
                 &[(ComponentId::BigCluster, Hertz::from_mhz(2000))],
                 &powers(2.0 + (i as f64) * 0.01),
             );
@@ -422,14 +435,14 @@ mod tests {
     fn series_accessors_read_the_frame() {
         let mut t = Telemetry::new(Seconds::new(0.1));
         for i in 0..20 {
-            let mut temps = vec![("big".to_owned(), Celsius::new(40.0 + i as f64))];
+            let mut temps = vec![("big", Celsius::new(40.0 + i as f64))];
             if i >= 10 {
-                temps.push(("late".to_owned(), Celsius::new(55.0)));
+                temps.push(("late", Celsius::new(55.0)));
             }
             t.record(
                 Seconds::new(i as f64 * 0.1),
                 Seconds::new(0.1),
-                &temps,
+                temps,
                 &[(ComponentId::BigCluster, Hertz::from_mhz(2000))],
                 &powers(2.0),
             );
@@ -461,7 +474,7 @@ mod tests {
         assert!(t.power_series(ComponentId::Gpu).is_none());
         // No sensors at all: an empty, still-named max trace.
         let mut bare = Telemetry::new(Seconds::new(0.1));
-        bare.record(Seconds::ZERO, Seconds::new(0.1), &[], &[], &BTreeMap::new());
+        bare.record(Seconds::ZERO, Seconds::new(0.1), [], &[], &BTreeMap::new());
         let max = bare.max_temperature();
         assert!(max.is_empty());
         assert_eq!(max.name(), "max_temp_c");

@@ -19,8 +19,9 @@ static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 // SAFETY: pure pass-through to the `System` allocator — same layout
 // contract, no bookkeeping that could alias or retain the pointers; the
 // counter is a relaxed atomic with no effect on allocation itself. This
-// file is the workspace's only sanctioned `unsafe` outside the lint
-// allowlist (see ci.yml's unsafe gate).
+// file and `crates/workloads/tests/probe_alloc.rs` are the workspace's
+// only sanctioned `unsafe` outside the lint allowlist (see ci.yml's
+// unsafe gate).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);

@@ -135,13 +135,10 @@ impl Workload for ThreeDMark {
     }
 
     fn is_finished(&self) -> bool {
-        // Finished when GT2's local clock has run out; checked through
-        // the recorded history rather than wall time so partial delivery
-        // cannot end the benchmark early.
-        self.gt2
-            .rolling_fps(Seconds::new(0.5))
-            .is_some_and(|_| false)
-            || self.gt2_elapsed() >= self.gt2_duration
+        // Finished once GT2's frame history covers its duration in whole
+        // seconds of GT2's local clock, so a fractional duration runs on
+        // to the next whole second.
+        self.gt2_elapsed() >= self.gt2_duration
     }
 
     fn median_fps(&self) -> Option<f64> {
@@ -158,8 +155,10 @@ impl Workload for ThreeDMark {
 }
 
 impl ThreeDMark {
+    /// Whole seconds GT2 has run: O(1), since `is_finished` runs
+    /// several times per pass.
     fn gt2_elapsed(&self) -> f64 {
-        self.gt2.fps_buckets().len() as f64
+        self.gt2.whole_seconds() as f64
     }
 }
 
@@ -772,6 +771,41 @@ mod tests {
         drive(&mut capped, 40.0, 4e9, 530.0e6);
         assert!(capped.gt1_fps().unwrap() < free.gt1_fps().unwrap());
         assert!(capped.gt2_fps().unwrap() < free.gt2_fps().unwrap());
+    }
+
+    /// The finish predicate as it read when it counted GT2's per-second
+    /// buckets, kept verbatim as the equivalence baseline.
+    fn bucket_counting_is_finished(b: &ThreeDMark) -> bool {
+        b.gt2.rolling_fps(Seconds::new(0.5)).is_some_and(|_| false)
+            || b.gt2.fps_buckets().len() as f64 >= b.gt2_duration
+    }
+
+    #[test]
+    fn threedmark_finishes_on_the_same_tick_as_the_bucket_count() {
+        let durations = [
+            (1.0, 2.0),
+            (2.0, 1.0),
+            (0.75, 1.3),
+            (1.25, 0.5),
+            (0.3, 2.01),
+        ];
+        for dt in [0.01, 0.007] {
+            for (gt1, gt2) in durations {
+                let mut b = ThreeDMark::with_durations(Seconds::new(gt1), Seconds::new(gt2));
+                let dt = Seconds::new(dt);
+                let mut finished = false;
+                for i in 0..((gt1 + gt2 + 3.0) / dt.value()) as usize {
+                    let now = Seconds::new(i as f64 * dt.value());
+                    let d = b.demand(now, dt);
+                    // Partial GPU delivery: the pipeline falls behind.
+                    b.deliver(d.cpu_cycles, 0.6 * d.gpu_cycles, now, dt);
+                    let old = bucket_counting_is_finished(&b);
+                    assert_eq!(b.is_finished(), old, "dt {dt:?}, ({gt1}, {gt2}), tick {i}");
+                    finished |= old;
+                }
+                assert!(finished, "dt {dt:?}, ({gt1}, {gt2}) never finished");
+            }
+        }
     }
 
     #[test]

@@ -39,6 +39,27 @@ impl Demand {
 /// Call order per tick: [`demand`](Workload::demand) first, then (after
 /// the simulator allocates capacity) [`deliver`](Workload::deliver) with
 /// the cycles actually granted.
+///
+/// # Per-pass probes
+///
+/// [`is_finished`](Workload::is_finished),
+/// [`current_fps`](Workload::current_fps) and
+/// [`next_phase_change`](Workload::next_phase_change) run on every
+/// simulator pass, not once per run:
+///
+/// - `is_finished`: the `events` stage's completion detection, and under
+///   the event engine the `demand` stage's wake query and the
+///   control-state fingerprint taken after each pass;
+/// - `current_fps`: the `analyze` stage's FPS signal;
+/// - `next_phase_change`: the `demand` stage's wake query under the event
+///   engine.
+///
+/// Implementations must therefore be O(1) in run length (the one
+/// allowance is the binary search
+/// [`FramePipeline::rolling_fps`](crate::FramePipeline::rolling_fps) makes
+/// over retained history; never a scan or rebuild of it), and must not
+/// allocate. `tests/probe_alloc.rs` pins the allocation half of that for
+/// every workload a scenario can name.
 pub trait Workload: fmt::Debug + Send + std::any::Any {
     /// The workload's display name.
     fn name(&self) -> &str;

@@ -197,6 +197,16 @@ impl FramePipeline {
         Some((f_end - f_start) / window.value())
     }
 
+    /// Whole seconds of history: `floor` of the last history time, or 0
+    /// with no history. This is exactly `fps_buckets().len()`, in O(1)
+    /// and without allocating, for probes that run on every pass.
+    #[must_use]
+    pub fn whole_seconds(&self) -> usize {
+        self.history
+            .last()
+            .map_or(0, |&(t_end, _)| t_end.floor() as usize)
+    }
+
     /// Per-second frame counts (the samples behind the median).
     #[must_use]
     pub fn fps_buckets(&self) -> Vec<f64> {
@@ -407,6 +417,24 @@ mod tests {
                 p.deliver(cw.min(r * 1e6 * 0.01), gw.min(r * 1e6 * 0.01), now, DT);
                 prop_assert!(p.frames_completed() >= prev);
                 prev = p.frames_completed();
+            }
+        }
+
+        #[test]
+        fn prop_whole_seconds_counts_the_fps_buckets(
+            zero_side in 0_usize..3,
+            dt in 0.001_f64..0.7,
+            deliveries in proptest::collection::vec((0.0_f64..3.0e6, 0.0_f64..3.0e6), 0..400),
+        ) {
+            // Side 1 or 2 costs nothing; 0 keeps both sides costed.
+            let cpu_cost = if zero_side == 1 { 0.0 } else { 1.0e6 };
+            let gpu_cost = if zero_side == 2 { 0.0 } else { 2.0e6 };
+            let mut p = FramePipeline::new(cpu_cost, gpu_cost, 60.0);
+            prop_assert_eq!(p.whole_seconds(), 0);
+            prop_assert_eq!(p.whole_seconds(), p.fps_buckets().len());
+            for (i, &(cpu, gpu)) in deliveries.iter().enumerate() {
+                p.deliver(cpu, gpu, Seconds::new(i as f64 * dt), Seconds::new(dt));
+                prop_assert_eq!(p.whole_seconds(), p.fps_buckets().len());
             }
         }
 
